@@ -28,8 +28,9 @@ const std::uint64_t opsPerPoint = scaledCount(200000);
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("A3", "ablation: batching the crossing (gate call vs "
                  "VMCALL)");

@@ -29,8 +29,9 @@ const std::uint64_t iterations = scaledCount(200000);
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("A1", "ablation: gate context vs direct 2-VMFUNC entry");
 

@@ -26,8 +26,9 @@ const std::uint64_t iterations = scaledCount(50000);
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("A2", "ablation: tagged TLB vs flush-on-switch");
 

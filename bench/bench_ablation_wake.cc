@@ -24,8 +24,9 @@ using namespace elisa::bench;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("A4", "ablation: polling vs doorbell wake-up (memcached "
                  "over ELISA)");

@@ -21,8 +21,9 @@ const std::uint64_t iterations = scaledCount(1000000);
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("T2", "context round-trip time (ELISA vs VMCALL)");
 

@@ -35,8 +35,9 @@ makeCluster(kvs::ClusterScheme scheme)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("C1", "sharded KVS cluster: p99 latency vs throughput");
 

@@ -8,11 +8,12 @@
 #include "bench/kvs_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace elisa;
     using namespace elisa::bench;
 
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F1", "KVS GET throughput vs number of VMs");
     const KvsPoint p = runKvsFigure(kvs::Mix::GetOnly, "F1_kvs_get");

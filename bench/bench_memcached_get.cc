@@ -17,8 +17,9 @@ using namespace elisa::bench;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F6", "memcached GET-heavy: p99 latency vs throughput");
 

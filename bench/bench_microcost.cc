@@ -33,8 +33,9 @@ avgNs(cpu::Vcpu &cpu, Fn &&op)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("T3", "transition-primitive microcosts");
 

@@ -27,8 +27,9 @@ constexpr unsigned maxVms = 12;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F8", "aggregate 64B RX vs number of VMs sharing one port "
                  "(extension)");

@@ -20,8 +20,9 @@ using namespace elisa::bench;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F3", "RX over NIC throughput vs packet size");
 

@@ -9,11 +9,12 @@
 #include "bench/net_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace elisa;
     using namespace elisa::bench;
 
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F4", "TX over NIC throughput vs packet size");
 

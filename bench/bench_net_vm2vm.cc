@@ -18,8 +18,9 @@ using namespace elisa::bench;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F5", "VM-to-VM throughput vs packet size");
 

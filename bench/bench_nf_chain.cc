@@ -45,8 +45,9 @@ chainOf(unsigned length)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("F9", "NF-chain RX processing vs chain length (extension)");
 

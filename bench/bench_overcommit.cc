@@ -199,8 +199,9 @@ runCell(Scheme scheme, double ratio)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("P1", "shared-object access under overcommit "
                  "(ELISA vs VMCALL vs ivshmem)");

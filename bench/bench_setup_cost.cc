@@ -27,8 +27,9 @@ noopFns()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("T4", "negotiation / setup cost scaling");
 

@@ -6,14 +6,13 @@
  * point) tractable.
  *
  * Besides the microbenches, this binary runs a hundreds-of-VMs
- * multi-machine *scale scenario* through the sharded engine at one
- * and at --threads=N host threads, asserts both produce identical
- * simulated results, and reports sim-time/wall-time ratios into
+ * multi-machine *scale scenario* through the engine and reports its
+ * simulated metrics and sim-time/wall-time ratio into
  * BENCH_sim_perf.json for the tools/bench_check regression gate
  * (wall_* metrics are gated one-sided with a generous tolerance —
  * wall clocks are noisy; the simulated metrics are exact).
  *
- *   bench_sim_perf [--threads=N] [--vms=N] [google-benchmark flags]
+ *   bench_sim_perf [--vms=N] [google-benchmark flags]
  */
 
 #include <benchmark/benchmark.h>
@@ -235,18 +234,15 @@ BENCHMARK(BM_StatIncString);
 // ---- hundreds-of-VMs scale scenario --------------------------------
 
 /**
- * One simulated machine of the scale scenario: a hypervisor pinned to
- * its own engine shard, hosting single-vCPU guest VMs. Machines only
- * interact through cross-shard replication pings, so each may run on
- * its own host thread.
+ * One simulated machine of the scale scenario: a hypervisor hosting
+ * single-vCPU guest VMs. Machines only interact through replication
+ * pings.
  */
 struct ScaleMachine
 {
-    ScaleMachine(elisa::ShardId shard, unsigned vms)
-        : hv((vms * 2 + 32) * MiB)
+    explicit ScaleMachine(unsigned vms) : hv((vms * 2 + 32) * MiB)
     {
         setQuiet(true);
-        hv.setShard(shard);
         for (unsigned v = 0; v < vms; ++v)
             hv.createVm("vm" + std::to_string(v), 2 * MiB);
     }
@@ -262,10 +258,10 @@ struct ScaleMachine
 class VmWorker : public sim::Actor
 {
   public:
-    VmWorker(sim::Engine &engine, cpu::Vcpu &vcpu, elisa::ShardId peer,
+    VmWorker(sim::Engine &engine, cpu::Vcpu &vcpu,
              std::uint64_t *peer_pings, std::uint64_t steps)
-        : engine(engine), vcpu(vcpu), peer(peer),
-          peerPings(peer_pings), total(steps)
+        : engine(engine), vcpu(vcpu), peerPings(peer_pings),
+          total(steps)
     {
     }
 
@@ -277,8 +273,7 @@ class VmWorker : public sim::Actor
         const SimNs t = vcpu.clock().now();
         vcpu.vmcall(hv::hcArgs(hv::Hc::Nop));
         if (++count % 16 == 0) {
-            engine.post(peer,
-                        t + vcpu.costModel().netPropagationNs,
+            engine.post(t + vcpu.costModel().netPropagationNs,
                         [this](SimNs) { ++*peerPings; });
         }
         return count < total;
@@ -287,50 +282,38 @@ class VmWorker : public sim::Actor
   private:
     sim::Engine &engine;
     cpu::Vcpu &vcpu;
-    elisa::ShardId peer;
     std::uint64_t *peerPings;
     std::uint64_t total;
     std::uint64_t count = 0;
 };
 
-/** Everything one scale run observes (wall time aside, all of it
- *  must be identical for any thread count). */
+/** Everything one scale run observes. */
 struct ScaleResult
 {
     std::uint64_t steps = 0;
     std::uint64_t delivered = 0;
-    std::uint64_t pings = 0;
-    SimNs simNs = 0;          ///< slowest vCPU's final clock
-    std::uint64_t clockSum = 0; ///< sum of all final vCPU clocks
+    SimNs simNs = 0; ///< slowest vCPU's final clock
     double wallMs = 0.0;
 };
 
 ScaleResult
-runScale(unsigned threads, unsigned machine_count, unsigned vms_per,
+runScale(unsigned machine_count, unsigned vms_per,
          std::uint64_t steps_per)
 {
     std::vector<std::unique_ptr<ScaleMachine>> machines;
     for (unsigned m = 0; m < machine_count; ++m)
-        machines.push_back(
-            std::make_unique<ScaleMachine>(m, vms_per));
+        machines.push_back(std::make_unique<ScaleMachine>(vms_per));
 
     sim::Engine engine;
-    engine.setThreads(threads);
-    // The machines of this scenario interact only through the
-    // inter-machine network, so its propagation delay — not the
-    // global worst-case transport bound — is the scenario lookahead.
-    engine.setLookahead(sim::CostModel::fromEnv().netPropagationNs);
-
     std::vector<std::uint64_t> pings(machine_count, 0);
     std::vector<std::unique_ptr<VmWorker>> workers;
     for (unsigned m = 0; m < machine_count; ++m) {
-        const elisa::ShardId peer = (m + 1) % machine_count;
+        const unsigned peer = (m + 1) % machine_count;
         for (unsigned v = 0; v < vms_per; ++v) {
             workers.push_back(std::make_unique<VmWorker>(
-                engine, machines[m]->hv.vm(v).vcpu(0), peer,
-                &pings[peer], steps_per));
-            engine.add(workers.back().get(),
-                       machines[m]->hv.shard());
+                engine, machines[m]->hv.vm(v).vcpu(0), &pings[peer],
+                steps_per));
+            engine.add(workers.back().get());
         }
     }
 
@@ -342,13 +325,10 @@ runScale(unsigned threads, unsigned machine_count, unsigned vms_per,
             std::chrono::steady_clock::now() - wall0)
             .count();
     result.delivered = engine.delivered();
-    for (std::uint64_t p : pings)
-        result.pings += p;
     for (auto &machine : machines) {
         for (unsigned v = 0; v < vms_per; ++v) {
             const SimNs now =
                 machine->hv.vm(v).vcpu(0).clock().now();
-            result.clockSum += now;
             if (now > result.simNs)
                 result.simNs = now;
         }
@@ -357,7 +337,7 @@ runScale(unsigned threads, unsigned machine_count, unsigned vms_per,
 }
 
 void
-runScaleScenario(unsigned threads, unsigned vms)
+runScaleScenario(unsigned vms)
 {
     constexpr unsigned machine_count = 8;
     const unsigned vms_per =
@@ -372,48 +352,23 @@ runScaleScenario(unsigned threads, unsigned vms)
                 machine_count, vms_per,
                 (unsigned long long)steps_per);
 
-    const ScaleResult serial =
-        runScale(1, machine_count, vms_per, steps_per);
-    const ScaleResult parallel =
-        runScale(threads, machine_count, vms_per, steps_per);
+    const ScaleResult r = runScale(machine_count, vms_per, steps_per);
 
-    // The whole point of the conservative protocol: the parallel run
-    // is the same simulation, bit for bit.
-    fatal_if(serial.steps != parallel.steps ||
-                 serial.delivered != parallel.delivered ||
-                 serial.pings != parallel.pings ||
-                 serial.simNs != parallel.simNs ||
-                 serial.clockSum != parallel.clockSum,
-             "scale scenario diverged between 1 and %u threads",
-             threads);
-
-    const double ratio_t1 =
-        (double)serial.simNs / (serial.wallMs * 1e6);
-    const double ratio_tn =
-        (double)parallel.simNs / (parallel.wallMs * 1e6);
-    std::printf("  threads=1: %8.2f ms wall, sim/wall ratio %.3f\n",
-                serial.wallMs, ratio_t1);
-    std::printf("  threads=%u: %8.2f ms wall, sim/wall ratio %.3f "
-                "(speedup %.2fx)\n",
-                threads, parallel.wallMs, ratio_tn,
-                serial.wallMs / parallel.wallMs);
-    std::printf("  %u VMs, %llu steps, %llu cross-shard pings "
+    const double ratio = (double)r.simNs / (r.wallMs * 1e6);
+    std::printf("  %8.2f ms wall, sim/wall ratio %.3f\n", r.wallMs,
+                ratio);
+    std::printf("  %u VMs, %llu steps, %llu inter-machine pings "
                 "delivered\n",
-                total_vms, (unsigned long long)serial.steps,
-                (unsigned long long)serial.delivered);
+                total_vms, (unsigned long long)r.steps,
+                (unsigned long long)r.delivered);
 
     bench::BenchReport report("sim_perf");
     // Simulated metrics: exact, gated two-sided by bench_check.
-    report.set("scale_ns_per_op",
-               (double)serial.simNs / (double)steps_per);
+    report.set("scale_ns_per_op", (double)r.simNs / (double)steps_per);
     report.set("scale_events_per_kop",
-               (double)serial.delivered * 1000.0 /
-                   (double)serial.steps);
-    // Wall metrics: noisy, gated one-sided (see --wall-tolerance).
-    report.set("wall_sim_ratio_t1", ratio_t1);
-    report.set("wall_sim_ratio_t4", ratio_tn);
-    report.set("wall_speedup_t4",
-               serial.wallMs / parallel.wallMs);
+               (double)r.delivered * 1000.0 / (double)r.steps);
+    // Wall metric: noisy, gated one-sided (see --wall-tolerance).
+    report.set("wall_sim_ratio_t1", ratio);
 }
 
 } // namespace
@@ -421,28 +376,25 @@ runScaleScenario(unsigned threads, unsigned vms)
 int
 main(int argc, char **argv)
 {
-    unsigned threads = 4;
     unsigned vms = 256;
 
-    // Strip our flags; everything else goes to google-benchmark.
+    // Strip our flag; everything else goes to google-benchmark.
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            threads = (unsigned)std::strtoul(argv[i] + 10, nullptr, 10);
-        } else if (std::strncmp(argv[i], "--vms=", 6) == 0) {
+        if (std::strncmp(argv[i], "--vms=", 6) == 0) {
             vms = (unsigned)std::strtoul(argv[i] + 6, nullptr, 10);
         } else {
             argv[out++] = argv[i];
         }
     }
     argc = out;
-    fatal_if(threads == 0 || vms == 0, "--threads/--vms must be >= 1");
+    fatal_if(vms == 0, "--vms must be >= 1");
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
-    runScaleScenario(threads, vms);
+    runScaleScenario(vms);
     benchmark::Shutdown();
     return 0;
 }

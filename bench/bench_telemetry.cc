@@ -61,8 +61,9 @@ wallNsPerGateCall(core::Gate &gate, std::uint64_t iters)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    requireNoArgs(argc, argv);
     setQuiet(true);
     banner("O1", "telemetry scrape RTT per access scheme");
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -84,6 +85,25 @@ mustAttachWithCapability(core::ElisaGuest &guest,
              attached.reason().c_str());
     core::Capability cap = attached.capability();
     return {attached.take(), cap};
+}
+
+/**
+ * Exit with status 2 and a usage line if any argument was given. The
+ * figure benches take no flags (ELISA_BENCH_QUICK=1 selects the
+ * reduced sweep), so an ignored flag would silently run another sweep
+ * than the one asked for.
+ */
+inline void
+requireNoArgs(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr,
+                 "%s: unknown argument '%s'\n"
+                 "usage: %s   (takes no arguments; set "
+                 "ELISA_BENCH_QUICK=1 for the reduced sweep)\n",
+                 argv[0], argv[1], argv[0]);
+    std::exit(2);
 }
 
 /**

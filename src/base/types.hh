@@ -33,15 +33,6 @@ using VmId = std::uint32_t;
 /** Identifier of a vCPU within the whole machine. */
 using VcpuId = std::uint32_t;
 
-/**
- * Identifier of a sim::Engine shard (dense, small). Everything that
- * interacts through shared mutable state — the vCPUs of one VM, one
- * hypervisor's VMs, actors contending on a SimLock/SimResource —
- * must carry the same shard id; different shards may then execute on
- * different host threads (see sim/engine.hh).
- */
-using ShardId = std::uint32_t;
-
 /** Index into a per-vCPU EPTP list (0..511). */
 using EptpIndex = std::uint16_t;
 

@@ -133,17 +133,6 @@ class Vcpu
     /** Owning VM. */
     VmId vm() const { return ownerVm; }
 
-    /**
-     * Engine shard this vcpu's actors schedule on (inherited from the
-     * owning VM, hv::Vm::setShard). All vCPUs of one VM — and every
-     * VM of one hypervisor instance, since they share its stats and
-     * services — carry the same shard id.
-     */
-    ShardId shard() const { return shardId; }
-
-    /** Set by hv::Vm::setShard; not for direct use. */
-    void setShard(ShardId shard) { shardId = shard; }
-
     /** This vcpu's simulated clock. */
     sim::SimClock &clock() { return simClock; }
     const sim::SimClock &clock() const { return simClock; }
@@ -255,7 +244,6 @@ class Vcpu
 
     VcpuId vcpuId;
     VmId ownerVm;
-    ShardId shardId = 0;
     mem::HostMemory &mem;
     const sim::CostModel &cost;
     HypercallSink *hypercallSink;

@@ -136,13 +136,6 @@ class ElisaGuest
      */
     std::optional<RequestId> requestAttach(const ExportKey &key);
 
-    [[deprecated("address exports with an ExportKey")]]
-    std::optional<RequestId>
-    requestAttach(const std::string &name)
-    {
-        return requestAttach(ExportKey(name));
-    }
-
     /**
      * Query an in-flight request once (one Query hypercall).
      * @return Attached (with the Gate), Pending (poll again with the
@@ -157,13 +150,6 @@ class ElisaGuest
      * its queue + poll, in one call.
      */
     AttachResult tryAttach(const ExportKey &key, ElisaManager &manager);
-
-    [[deprecated("address exports with an ExportKey")]]
-    AttachResult
-    tryAttach(const std::string &name, ElisaManager &manager)
-    {
-        return tryAttach(ExportKey(name), manager);
-    }
 
     /**
      * Robust attach: bounded retry with exponential backoff (simulated
@@ -184,16 +170,6 @@ class ElisaGuest
                                  const std::function<void()> &pump = {},
                                  unsigned max_tries = 8,
                                  SimNs backoff_ns = 2000);
-
-    [[deprecated("address exports with an ExportKey")]]
-    AttachResult
-    attachWithRetry(const std::string &name,
-                    const std::function<void()> &pump = {},
-                    unsigned max_tries = 8, SimNs backoff_ns = 2000)
-    {
-        return attachWithRetry(ExportKey(name), pump, max_tries,
-                               backoff_ns);
-    }
 
     /**
      * Redeem a capability this VM holds into an attachment on this

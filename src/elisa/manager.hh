@@ -64,15 +64,6 @@ class ElisaManager
         const ExportKey &key, std::uint64_t bytes, SharedFnTable fns,
         ept::Perms perms = ept::Perms::RW);
 
-    [[deprecated("address exports with an ExportKey")]]
-    std::optional<Exported>
-    exportObject(const std::string &name, std::uint64_t bytes,
-                 SharedFnTable fns, ept::Perms perms = ept::Perms::RW)
-    {
-        return exportObject(ExportKey(name), bytes, std::move(fns),
-                            perms);
-    }
-
     /** Set the attach-approval policy (default: approve everyone). */
     void setApprover(Approver approver);
 

@@ -45,7 +45,6 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
     frames.noteOwner(id, name, ram_bytes / pageSize);
     auto vm = std::make_unique<Vm>(*this, id, name, ram_bytes, vcpu_count);
     Vm &ref = *vm;
-    ref.setShard(machineShard);
     for (unsigned i = 0; i < ref.vcpuCount(); ++i)
         vcpuOwner[ref.vcpu(i).id()] = id;
     vms.emplace(id, std::move(vm));
@@ -54,14 +53,6 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
                 ref.name().c_str(),
                 (unsigned long long)(ram_bytes >> 20));
     return ref;
-}
-
-void
-Hypervisor::setShard(ShardId shard)
-{
-    machineShard = shard;
-    for (auto &[id, vm] : vms)
-        vm->setShard(shard);
 }
 
 Vm &

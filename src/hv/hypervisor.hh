@@ -66,23 +66,8 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
         return exitIds[static_cast<unsigned>(reason)];
     }
 
-    /**
-     * Engine shard this machine's actors schedule on (default 0).
-     * One Hypervisor is one simulated machine, and everything inside
-     * a machine shares mutable state (the global StatSet, the EPT
-     * sharing services, VM channels), so the machine is the natural
-     * sharding unit: setShard() tags the hypervisor and every
-     * existing and future VM/vCPU. Multi-machine scenarios give each
-     * machine its own shard and connect them with Engine::post().
-     */
-    ShardId shard() const { return machineShard; }
-
-    /** Move this machine — all its VMs and vCPUs — to @p shard. */
-    void setShard(ShardId shard);
-
     // ---- VM lifecycle ----------------------------------------------
-    /** Create a VM (inheriting the machine shard); the hypervisor
-     *  keeps ownership. */
+    /** Create a VM; the hypervisor keeps ownership. */
     Vm &createVm(const std::string &name, std::uint64_t ram_bytes,
                  unsigned vcpu_count = 1);
 
@@ -304,7 +289,6 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     sim::StatSet statSet;
     GrantTable grantTable;
     std::map<VmId, std::unique_ptr<Vm>> vms;
-    ShardId machineShard = 0;
     VmId nextVmId = 0;
     VcpuId nextVcpuId = 0;
     std::map<std::uint64_t, HypercallHandler> hypercalls;

@@ -57,14 +57,6 @@ Vm::~Vm()
     hyper.frames.free(ramBase, ramSize / pageSize);
 }
 
-void
-Vm::setShard(ShardId shard)
-{
-    shardId = shard;
-    for (auto &vcpu : vcpus)
-        vcpu->setShard(shard);
-}
-
 cpu::Vcpu &
 Vm::vcpu(unsigned index)
 {

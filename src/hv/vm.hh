@@ -116,26 +116,11 @@ class Vm
     /** The owning hypervisor. */
     Hypervisor &hypervisor() { return hyper; }
 
-    /**
-     * Engine shard this VM's actors schedule on (default 0). A VM and
-     * all its vCPUs always share one shard; every VM of one
-     * Hypervisor instance must share it too (they interact through
-     * the hypervisor's stats, the EPT sharing services and any common
-     * NIC). Cluster-scale scenarios that want parallelism therefore
-     * model one Hypervisor ("machine") per shard and connect them
-     * through Engine::post() (see DESIGN.md §11).
-     */
-    ShardId shard() const { return shardId; }
-
-    /** Tag this VM (and all its vCPUs) with @p shard. */
-    void setShard(ShardId shard);
-
   private:
     Hypervisor &hyper;
     VmId vmId;
     std::string vmName;
     std::uint64_t ramSize;
-    ShardId shardId = 0;
     Hpa ramBase = 0;
     std::uint64_t ramBump = 0;
     std::unique_ptr<ept::Ept> defaultContext;

@@ -113,7 +113,7 @@ struct KvsCluster::Node
     bool alive = true;
 };
 
-// ---- one server machine (== one engine shard) ------------------------
+// ---- one server machine (== one KVS shard) ---------------------------
 
 struct KvsCluster::ServerMachine
 {
@@ -174,8 +174,6 @@ KvsCluster::ServerMachine::ServerMachine(const ClusterConfig &config,
       hv(192 * MiB), svc(hv),
       serverVm(hv.createVm("server" + std::to_string(index), 32 * MiB))
 {
-    hv.setShard(index);
-
     stepHc = hv.allocServiceNr();
     hv.registerHypercall(
         stepHc, [](cpu::Vcpu &, const cpu::HypercallArgs &) {
@@ -664,8 +662,9 @@ KvsCluster::ownerOf(std::uint64_t id) const
 SimNs
 KvsCluster::hopNs() const
 {
-    const SimNs prop = machines.front()->hv.cost().netPropagationNs;
-    return std::max(prop, eng.lookahead());
+    // Posts must deliver strictly after the posting item.
+    return std::max<SimNs>(machines.front()->hv.cost().netPropagationNs,
+                           1);
 }
 
 void
@@ -785,11 +784,10 @@ KvsCluster::postRequest(ClientActor &client, unsigned owner,
                         bool is_put, std::uint64_t id, SimNs t0)
 {
     ClientActor *cl = &client;
-    const unsigned home = client.home;
-    eng.post(owner, t0 + hopNs(),
-             [this, cl, home, owner, is_put, id, t0](SimNs deliver) {
+    eng.post(t0 + hopNs(),
+             [this, cl, owner, is_put, id, t0](SimNs deliver) {
                  const ServeResult r = serve(owner, is_put, id, deliver);
-                 eng.post(home, r.finish + hopNs(),
+                 eng.post(r.finish + hopNs(),
                           [cl, is_put, id, t0, r](SimNs) {
                               cl->complete(is_put, id, t0, r);
                           });
@@ -810,8 +808,6 @@ KvsCluster::runLoad(unsigned clients_per_server,
              "offered load must be positive");
 
     eng.clear();
-    eng.setLookahead(
-        machines.front()->hv.cost().minCrossShardLatencyNs());
 
     // Start arrivals at the cluster-wide frontier so consecutive load
     // phases on one cluster compose.
@@ -828,7 +824,7 @@ KvsCluster::runLoad(unsigned clients_per_server,
                 *this, s, mean_gap_ns, requests_per_client, put_ratio,
                 key_space, zipf_s,
                 seed * 0x9e3779b97f4a7c15ull + index, start));
-            eng.add(clients.back().get(), s);
+            eng.add(clients.back().get());
         }
     }
     eng.run();

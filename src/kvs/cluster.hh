@@ -2,10 +2,9 @@
  * @file
  * A sharded multi-machine KVS cluster over the log-structured store.
  *
- * Topology: N server machines (one hv::Hypervisor each, pinned to
- * engine shard i — the machine-per-shard doctrine of DESIGN.md §11),
- * joined by a seeded consistent-hash ring. Each machine serves its key
- * range from LogKvs stores held by three *nodes*:
+ * Topology: N server machines (one hv::Hypervisor each), joined by a
+ * seeded consistent-hash ring. Each machine serves its key range (its
+ * shard) from LogKvs stores held by three *nodes*:
  *
  *   primary   the serving copy; GETs walk its bucket index
  *   replica   synchronously replicated: a PUT appends to the replica
@@ -23,8 +22,7 @@
  *
  * Clients are open-loop Poisson arrival processes (zipfian hot keys)
  * homed on a machine; a key owned elsewhere crosses shards through
- * Engine::post() with one netPropagationNs hop each way, making the
- * whole cluster byte-deterministic at any engine thread count.
+ * Engine::post() with one netPropagationNs hop each way.
  *
  * Failure and recovery, driven by sim::FaultPlan: when a plan is
  * installed the server issues a protocol-step hypercall before the
@@ -79,7 +77,7 @@ const char *clusterSchemeToString(ClusterScheme scheme);
 /** Cluster geometry and behavior knobs. */
 struct ClusterConfig
 {
-    /** Serving machines (== engine shards). */
+    /** Serving machines (== KVS shards). */
     unsigned servers = 3;
 
     ClusterScheme scheme = ClusterScheme::Elisa;

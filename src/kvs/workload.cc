@@ -115,16 +115,11 @@ runKvsWorkload(const std::vector<KvsClient *> &clients, Mix mix,
 
     std::vector<std::unique_ptr<ClientActor>> actors;
     sim::Engine engine;
-    engine.setLookahead(
-        clients.front()->vcpu().costModel().minCrossShardLatencyNs());
     for (std::size_t i = 0; i < clients.size(); ++i) {
         actors.push_back(std::make_unique<ClientActor>(
             *clients[i], mix, key_space, ops_per_client,
             seed * 0x9e3779b97f4a7c15ull + i));
-        // All clients of one store share its buckets and locks, so
-        // they carry one machine's shard tag; the tag still routes a
-        // multi-machine population onto distinct shards.
-        engine.add(actors.back().get(), clients[i]->vcpu().shard());
+        engine.add(actors.back().get());
     }
     engine.setSampler(sample_period, std::move(sampler));
     engine.run();

@@ -63,13 +63,6 @@ class Server
     /** Server vCPU (clock inspection). */
     cpu::Vcpu &vcpu() { return netPath.vcpu(); }
 
-    /**
-     * Engine shard the server schedules on — its vCPU's (= its VM's
-     * machine's). A load generator driving this server from another
-     * machine's shard must route requests via Engine::post().
-     */
-    ShardId shard() { return netPath.vcpu().shard(); }
-
     /** GETs that missed (diagnostics; 0 after warm-up). */
     std::uint64_t misses() const { return missCount; }
 

@@ -134,20 +134,12 @@ runRxShared(const std::vector<NetPath *> &paths, PhysNic &nic,
     std::vector<std::unique_ptr<SharedRxActor>> actors;
     std::vector<SimNs> t0(paths.size());
     sim::Engine engine;
-    engine.setLookahead(
-        paths.front()->vcpu().costModel().minCrossShardLatencyNs());
-    // Every receiver contends on the one physical NIC (a SimResource),
-    // so they must schedule on one shard; mixed tags would let two
-    // host threads race on the wire.
-    const ShardId shard = paths.front()->vcpu().shard();
     for (std::size_t i = 0; i < paths.size(); ++i) {
-        panic_if(paths[i]->vcpu().shard() != shard,
-                 "shared-NIC receivers must share an engine shard");
         paths[i]->vcpu().clock().syncTo(start);
         t0[i] = paths[i]->vcpu().clock().now();
         actors.push_back(std::make_unique<SharedRxActor>(
             *paths[i], nic, len, count_per_vm, start));
-        engine.add(actors.back().get(), shard);
+        engine.add(actors.back().get());
     }
     engine.run();
 

@@ -173,28 +173,6 @@ struct CostModel
         return bits / nicLineRateBps * 1e9;
     }
 
-    /**
-     * Minimum simulated latency of any interaction that may cross an
-     * engine shard boundary — the conservative-parallel-DES lookahead
-     * (Engine::setLookahead). Cross-shard interactions in this model
-     * are physical transports: an IPI / posted interrupt, network
-     * propagation between machines, or a frame crossing the wire; the
-     * cheapest is a minimum-size (64 B) frame's wire time, floored so
-     * the bound stays conservative under any cost overlay.
-     */
-    SimNs
-    minCrossShardLatencyNs() const
-    {
-        const SimNs wire = (SimNs)wireTimeNs(minFrameBytes);
-        SimNs least = wire < ipiDeliverNs ? wire : ipiDeliverNs;
-        if (netPropagationNs < least)
-            least = netPropagationNs;
-        return least > 1 ? least : 1;
-    }
-
-    /** Minimum Ethernet frame size used by the lookahead bound. */
-    static constexpr std::uint32_t minFrameBytes = 64;
-
     /** Render the calibration summary printed by every bench. */
     std::string summary() const;
 

@@ -1,8 +1,5 @@
 #include "sim/engine.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <thread>
 #include <utility>
 
 #include "base/logging.hh"
@@ -10,52 +7,14 @@
 namespace elisa::sim
 {
 
-namespace
-{
-
-/**
- * Identity of the engine item executing on this host thread, so
- * Engine::post() can learn the posting shard and the scheduled time
- * of the posting item without threading them through every actor.
- * Saved/restored around batches, so engines nested inside a step
- * (none today) would not corrupt the outer context.
- */
-struct ExecCtx
-{
-    const void *engine = nullptr;
-    ShardId shard = 0;
-    SimNs itemTime = 0;
-};
-
-thread_local ExecCtx *tlsExecCtx = nullptr;
-
-} // anonymous namespace
-
-Engine::Engine()
-{
-    if (const char *env = std::getenv("ELISA_SIM_THREADS")) {
-        char *end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed <= 1024) {
-            threadCount = static_cast<unsigned>(parsed);
-        } else {
-            warn("ignoring malformed ELISA_SIM_THREADS='%s'", env);
-        }
-    }
-}
-
 RegId
-Engine::add(Actor *actor, ShardId shard)
+Engine::add(Actor *actor)
 {
     panic_if(actor == nullptr, "null actor");
     panic_if(running, "Engine::add during run()");
-    panic_if(shard >= 65536, "shard id %u out of range", shard);
-    while (shards.size() <= shard)
-        shards.push_back(std::make_unique<Shard>());
     const RegId reg = static_cast<RegId>(entries.size());
-    entries.push_back(
-        Entry{actor, shard, actor->actorNow(), 0, true});
-    ++shards[shard]->alive;
+    entries.push_back(Entry{actor, true});
+    ++aliveCount;
     return reg;
 }
 
@@ -64,28 +23,14 @@ Engine::clear()
 {
     panic_if(running, "Engine::clear during run()");
     entries.clear();
-    shards.clear();
+    heap.clear();
+    events = {};
+    aliveCount = 0;
+    deliveredEvents = 0;
     // Restart the sampler series: a reused Engine must fire its first
     // sample one period into the new run, not wherever the previous
     // population left nextSample.
     nextSample = samplePeriod;
-}
-
-void
-Engine::setThreads(unsigned n)
-{
-    panic_if(running, "Engine::setThreads during run()");
-    threadCount = n;
-}
-
-void
-Engine::setLookahead(SimNs lookahead_ns)
-{
-    panic_if(running, "Engine::setLookahead during run()");
-    panic_if(lookahead_ns == 0,
-             "lookahead must be >= 1 ns (a zero-latency cross-shard "
-             "interaction can land in the destination's present)");
-    lookaheadNs = lookahead_ns;
 }
 
 void
@@ -103,305 +48,61 @@ Engine::setSampler(SimNs period_ns, std::function<void(SimNs)> fn)
     sampler = std::move(fn);
 }
 
-std::size_t
-Engine::runnable() const
+void
+Engine::post(SimNs deliver_at, EventFn fn)
 {
-    std::size_t alive = 0;
-    for (const auto &sh : shards)
-        alive += sh->alive;
-    return alive;
+    panic_if(!inItem,
+             "Engine::post called outside a running step of this engine");
+    panic_if(!fn, "null event");
+    panic_if(deliver_at <= itemTime,
+             "post must deliver strictly after the posting item: "
+             "deliver_at=%llu <= item_time=%llu",
+             (unsigned long long)deliver_at,
+             (unsigned long long)itemTime);
+    events.push(Event{deliver_at, postSeq++, std::move(fn)});
 }
 
-std::uint64_t
-Engine::delivered() const
-{
-    std::uint64_t events = 0;
-    for (const auto &sh : shards)
-        events += sh->deliveredEvents;
-    return events;
-}
+// ---- actor heap: min by (clock, registration id) -------------------
 
-// ---- shard heap: min by (cachedNow, registration id) ---------------
-
-bool
-Engine::heapBefore(RegId a, RegId b) const
+void
+Engine::siftDown(std::size_t pos)
 {
-    const SimNs ta = entries[a].cachedNow;
-    const SimNs tb = entries[b].cachedNow;
-    if (ta != tb)
-        return ta < tb;
-    return a < b;
+    const std::size_t size = heap.size();
+    const Slot moving = heap[pos];
+    for (std::size_t child; (child = 2 * pos + 1) < size; pos = child) {
+        if (child + 1 < size)
+            child += heap[child + 1].before(heap[child]);
+        if (!heap[child].before(moving))
+            break;
+        heap[pos] = heap[child];
+    }
+    heap[pos] = moving;
 }
 
 void
-Engine::siftUp(Shard &sh, std::uint32_t pos)
+Engine::heapRemoveTop()
 {
-    const RegId moving = sh.heap[pos];
-    while (pos > 0) {
-        const std::uint32_t parent = (pos - 1) / 2;
-        if (!heapBefore(moving, sh.heap[parent]))
-            break;
-        sh.heap[pos] = sh.heap[parent];
-        entries[sh.heap[pos]].heapPos = pos;
-        pos = parent;
-    }
-    sh.heap[pos] = moving;
-    entries[moving].heapPos = pos;
-}
-
-void
-Engine::siftDown(Shard &sh, std::uint32_t pos)
-{
-    const std::uint32_t size = static_cast<std::uint32_t>(sh.heap.size());
-    const RegId moving = sh.heap[pos];
-    for (;;) {
-        std::uint32_t child = 2 * pos + 1;
-        if (child >= size)
-            break;
-        if (child + 1 < size &&
-            heapBefore(sh.heap[child + 1], sh.heap[child])) {
-            ++child;
-        }
-        if (!heapBefore(sh.heap[child], moving))
-            break;
-        sh.heap[pos] = sh.heap[child];
-        entries[sh.heap[pos]].heapPos = pos;
-        pos = child;
-    }
-    sh.heap[pos] = moving;
-    entries[moving].heapPos = pos;
-}
-
-void
-Engine::heapRemoveTop(Shard &sh)
-{
-    const RegId last = sh.heap.back();
-    sh.heap.pop_back();
-    if (!sh.heap.empty()) {
-        sh.heap[0] = last;
-        entries[last].heapPos = 0;
-        siftDown(sh, 0);
-    }
+    heap.front() = heap.back();
+    heap.pop_back();
+    if (!heap.empty())
+        siftDown(0);
 }
 
 SimNs
-Engine::shardNext(Shard &sh)
+Engine::nextActorTime()
 {
-    SimNs next = noWork;
-    while (!sh.heap.empty()) {
-        Entry &top = entries[sh.heap[0]];
-        const SimNs now = top.actor->actorNow();
-        if (now != top.cachedNow) {
-            // A delivered event advanced this actor; re-key lazily.
-            panic_if(now < top.cachedNow, "actor clock ran backwards");
-            top.cachedNow = now;
-            siftDown(sh, 0);
-            continue;
-        }
-        if (now < runHorizon)
-            next = now;
-        break;
+    while (!heap.empty()) {
+        Slot &top = heap.front();
+        const SimNs now = entries[top.reg].actor->actorNow();
+        if (now == top.key)
+            return now;
+        // Clocks are monotonic, so a stale key is only ever too low:
+        // re-keying the top before use preserves min order.
+        panic_if(now < top.key, "actor clock ran backwards");
+        top.key = now;
+        siftDown(0);
     }
-    if (!sh.events.empty()) {
-        const SimNs at = sh.events.top().at;
-        if (at < runHorizon && at < next)
-            next = at;
-    }
-    return next;
-}
-
-void
-Engine::drainInbox(Shard &sh)
-{
-    if (sh.inbox.empty())
-        return;
-    for (Event &ev : sh.inbox)
-        sh.events.push(std::move(ev));
-    sh.inbox.clear();
-    // A poster may be blocked on the channel bound.
-    cv.notify_all();
-}
-
-void
-Engine::post(ShardId dest, SimNs deliver_at, EventFn fn)
-{
-    ExecCtx *ctx = tlsExecCtx;
-    panic_if(ctx == nullptr || ctx->engine != this,
-             "Engine::post called outside a running step of this engine");
-    panic_if(!fn, "null cross-shard event");
-    panic_if(dest >= shards.size(), "post to unknown shard %u", dest);
-    panic_if(deliver_at < ctx->itemTime + lookaheadNs,
-             "post violates lookahead: deliver_at=%llu < item_time=%llu"
-             " + lookahead=%llu",
-             (unsigned long long)deliver_at,
-             (unsigned long long)ctx->itemTime,
-             (unsigned long long)lookaheadNs);
-
-    Shard &src = *shards[ctx->shard];
-    Event ev{deliver_at, ctx->shard, src.postSeq++, std::move(fn)};
-    Shard &dst = *shards[dest];
-
-    std::unique_lock<std::mutex> lock(mu);
-    if (dst.owner == src.owner) {
-        // Same worker owns both shards: the destination queue cannot
-        // be drained concurrently (it is this thread's), so deliver
-        // directly — blocking on the bound would deadlock.
-        dst.events.push(std::move(ev));
-    } else {
-        cv.wait(lock,
-                [&] { return dst.inbox.size() < channelCapacity; });
-        dst.inbox.push_back(std::move(ev));
-    }
-    // Authoritative frontier update: anyone computing the global
-    // minimum after this sees the destination's new obligation.
-    if (deliver_at < runHorizon && deliver_at < dst.nextTime)
-        dst.nextTime = deliver_at;
-    cv.notify_all();
-}
-
-void
-Engine::executeBatch(ShardId sid, SimNs safe)
-{
-    Shard &sh = *shards[sid];
-    ExecCtx ctx{this, sid, 0};
-    ExecCtx *previous = tlsExecCtx;
-    tlsExecCtx = &ctx;
-
-    for (;;) {
-        // Earliest pending event.
-        const SimNs eventAt =
-            sh.events.empty() ? noWork : sh.events.top().at;
-
-        // Earliest actor, lazily re-keyed (an event just delivered
-        // may have advanced an actor's clock past its cached key).
-        SimNs actorAt = noWork;
-        while (!sh.heap.empty()) {
-            Entry &top = entries[sh.heap[0]];
-            const SimNs now = top.actor->actorNow();
-            if (now != top.cachedNow) {
-                panic_if(now < top.cachedNow,
-                         "actor clock ran backwards");
-                top.cachedNow = now;
-                siftDown(sh, 0);
-                continue;
-            }
-            actorAt = now;
-            break;
-        }
-
-        // Events deliver before steps at the same simulated time: an
-        // arrival at t is observable by the actor scheduled at t.
-        const bool eventFirst = eventAt <= actorAt;
-        const SimNs t = eventFirst ? eventAt : actorAt;
-        if (t >= safe)
-            break;
-
-        if (eventFirst) {
-            // priority_queue::top() is const; moving out right before
-            // pop() is safe (the queue never reads the moved-from fn).
-            Event ev = std::move(const_cast<Event &>(sh.events.top()));
-            sh.events.pop();
-            ctx.itemTime = ev.at;
-            ev.fn(ev.at);
-            ++sh.deliveredEvents;
-        } else {
-            Entry &top = entries[sh.heap[0]];
-            ctx.itemTime = t;
-            const bool more = top.actor->step();
-            panic_if(top.actor->actorNow() < t,
-                     "actor ran backwards in time");
-            ++sh.steps;
-            if (!more) {
-                top.alive = false;
-                --sh.alive;
-                heapRemoveTop(sh);
-            } else {
-                top.cachedNow = top.actor->actorNow();
-                siftDown(sh, 0);
-            }
-        }
-    }
-
-    tlsExecCtx = previous;
-}
-
-void
-Engine::workerLoop(unsigned w)
-{
-    std::vector<ShardId> mine;
-    for (ShardId s = 0; s < shards.size(); ++s) {
-        if (shards[s]->owner == w)
-            mine.push_back(s);
-    }
-
-    std::unique_lock<std::mutex> lock(mu);
-    std::vector<ShardId> work;
-    while (!done) {
-        // Refresh this worker's authoritative frontiers.
-        for (ShardId s : mine) {
-            drainInbox(*shards[s]);
-            shards[s]->nextTime = shardNext(*shards[s]);
-        }
-
-        // Global causal frontier: the earliest pending work anywhere.
-        SimNs gmin = noWork;
-        for (const auto &sh : shards) {
-            if (sh->nextTime < gmin)
-                gmin = sh->nextTime;
-        }
-        if (gmin == noWork) {
-            // Frontier updates are authoritative (posts update the
-            // destination under the mutex, executing shards keep
-            // their batch-start time), so "everything at/past the
-            // horizon" here is global and final.
-            done = true;
-            cv.notify_all();
-            break;
-        }
-
-        // Sample boundaries at or below the frontier are final: no
-        // shard holds unexecuted work below gmin, and none will
-        // execute work at or past the boundary until the cap below
-        // is raised — the machine is quiescent around the callback.
-        while (samplePeriod && sampler && nextSample <= gmin) {
-            sampler(nextSample);
-            nextSample += samplePeriod;
-        }
-        SimNs cap = runHorizon;
-        if (samplePeriod && sampler && nextSample < cap)
-            cap = nextSample;
-
-        // Conservative window: work strictly below the frontier plus
-        // lookahead can never be invalidated by a cross-shard event
-        // (posts deliver at >= sender item time + lookahead, and the
-        // sender's item time is >= the frontier it contributed).
-        SimNs safe = lookaheadNs > noWork - gmin ? noWork
-                                                 : gmin + lookaheadNs;
-        if (cap < safe)
-            safe = cap;
-
-        work.clear();
-        for (ShardId s : mine) {
-            if (shards[s]->nextTime < safe)
-                work.push_back(s);
-        }
-        if (work.empty()) {
-            // The frontier-minimum shard's owner always has work, so
-            // someone is executing and will advance gmin and notify.
-            cv.wait(lock);
-            continue;
-        }
-
-        lock.unlock();
-        for (ShardId s : work)
-            executeBatch(s, safe);
-        lock.lock();
-        for (ShardId s : work) {
-            drainInbox(*shards[s]);
-            shards[s]->nextTime = shardNext(*shards[s]);
-        }
-        cv.notify_all();
-    }
+    return noWork;
 }
 
 std::uint64_t
@@ -409,60 +110,64 @@ Engine::run(SimNs horizon_ns)
 {
     panic_if(running, "Engine::run is not reentrant");
     running = true;
-    runHorizon = horizon_ns;
-    done = false;
 
-    // Rebuild the shard heaps: clocks may have advanced between
-    // runs, and finished actors must not resurface.
-    for (auto &sh : shards) {
-        sh->heap.clear();
-        sh->steps = 0;
-    }
+    // Rebuild the heap: clocks may have advanced between runs, and
+    // finished actors must not resurface.
+    heap.clear();
     for (RegId reg = 0; reg < entries.size(); ++reg) {
-        Entry &e = entries[reg];
-        if (!e.alive)
-            continue;
-        e.cachedNow = e.actor->actorNow();
-        Shard &sh = *shards[e.shard];
-        e.heapPos = static_cast<std::uint32_t>(sh.heap.size());
-        sh.heap.push_back(reg);
+        const Entry &e = entries[reg];
+        if (e.alive)
+            heap.push_back(Slot{e.actor->actorNow(), reg});
     }
-    for (auto &sh : shards) {
-        if (sh->heap.size() > 1) {
-            for (std::uint32_t pos =
-                     static_cast<std::uint32_t>(sh->heap.size()) / 2;
-                 pos-- > 0;) {
-                siftDown(*sh, pos);
+    for (std::size_t pos = heap.size() / 2; pos-- > 0;)
+        siftDown(pos);
+
+    std::uint64_t steps = 0;
+    for (;;) {
+        const SimNs actorAt = nextActorTime();
+        const SimNs eventAt = events.empty() ? noWork : events.top().at;
+        // Events deliver before steps at the same simulated time: an
+        // arrival at t is observable by the actor scheduled at t.
+        const bool eventFirst = eventAt <= actorAt;
+        const SimNs t = eventFirst ? eventAt : actorAt;
+        if (t >= horizon_ns)
+            break;
+
+        // All work below t is done, so every boundary up to t sees a
+        // machine quiescent below it.
+        while (sampler && nextSample <= t) {
+            sampler(nextSample);
+            nextSample += samplePeriod;
+        }
+
+        inItem = true;
+        itemTime = t;
+        if (eventFirst) {
+            // priority_queue::top() is const; moving out right before
+            // pop() is safe (the queue never reads the moved-from fn).
+            Event ev = std::move(const_cast<Event &>(events.top()));
+            events.pop();
+            ev.fn(ev.at);
+            ++deliveredEvents;
+        } else {
+            Entry &top = entries[heap.front().reg];
+            const bool more = top.actor->step();
+            const SimNs now = top.actor->actorNow();
+            panic_if(now < t, "actor ran backwards in time");
+            ++steps;
+            if (more) {
+                heap.front().key = now;
+                siftDown(0);
+            } else {
+                top.alive = false;
+                --aliveCount;
+                heapRemoveTop();
             }
         }
-        sh->nextTime = shardNext(*sh);
+        inItem = false;
     }
-
-    unsigned want = threadCount;
-    if (want == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        want = hw ? hw : 1;
-    }
-    workerCount = static_cast<unsigned>(
-        std::min<std::size_t>(want, shards.empty() ? 1
-                                                   : shards.size()));
-    if (workerCount == 0)
-        workerCount = 1;
-    for (ShardId s = 0; s < shards.size(); ++s)
-        shards[s]->owner = s % workerCount;
-
-    std::vector<std::thread> pool;
-    pool.reserve(workerCount - 1);
-    for (unsigned w = 1; w < workerCount; ++w)
-        pool.emplace_back(&Engine::workerLoop, this, w);
-    workerLoop(0);
-    for (std::thread &t : pool)
-        t.join();
 
     running = false;
-    std::uint64_t steps = 0;
-    for (const auto &sh : shards)
-        steps += sh->steps;
     return steps;
 }
 

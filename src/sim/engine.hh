@@ -1,40 +1,27 @@
 /**
  * @file
- * Conservative multi-actor discrete-event engine, sharded and
- * (optionally) parallel.
+ * Serial multi-actor discrete-event engine.
  *
  * Each actor owns a SimClock and performs one bounded unit of work per
- * step() call (e.g., one KVS operation, one packet). Actors are
- * partitioned into *shards*: everything that interacts through shared
- * mutable state (SimLock, SimResource, a common hypervisor) must live
- * in one shard. Within a shard the engine always steps the actor with
- * the smallest (clock, registration-id) key, so any interaction
- * through SimLock / SimResource observes a causally consistent
- * simulated timeline: nobody can retroactively occupy a resource in
- * another actor's past, and equal-clock ties always resolve in
+ * step() call (e.g., one KVS operation, one packet). The engine always
+ * runs the earliest pending item: the actor with the smallest
+ * (clock, registration-id) key, or a posted event. Interactions through
+ * SimLock / SimResource therefore observe one causally consistent
+ * simulated timeline — nobody can retroactively occupy a resource in
+ * another actor's past — and equal-clock ties always resolve in
  * registration order regardless of which actors finished earlier.
  *
- * Across shards the engine is a conservative parallel DES in the
- * Chandy–Misra–Bryant tradition: shards only communicate through a
- * bounded inter-shard event channel (post()) whose minimum latency is
- * the engine *lookahead* (derive it from the cost model's minimum
- * cross-shard event latency, CostModel::minCrossShardLatencyNs()).
- * A shard may therefore run ahead of the global causal frontier by up
- * to the lookahead without ever observing an event from its past.
- * Cross-shard events merge in a fixed (time, source-shard, source
- * sequence) order, so the simulated timeline — and every exporter
- * byte derived from it — is identical for any thread count,
- * including one.
+ * Work that lands later than its sender's present (a network hop to
+ * another machine, a response) travels as a posted event: fn runs at
+ * its delivery time, before any actor step at that time. Events with
+ * equal delivery times run in post order.
  */
 
 #ifndef ELISA_SIM_ENGINE_HH
 #define ELISA_SIM_ENGINE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -60,11 +47,6 @@ class Actor
     /**
      * Perform one unit of work, advancing the local clock.
      *
-     * During a parallel run, step() executes on the host thread that
-     * owns the actor's shard; it may freely touch state shared with
-     * other actors of the *same* shard, and may reach other shards
-     * only through Engine::post().
-     *
      * @return false when the actor has no more work (it is then
      *         removed from scheduling for the rest of the run).
      */
@@ -72,105 +54,62 @@ class Actor
 };
 
 /**
- * The scheduler. Actors are registered (not owned) into shards, then
- * run() drives them until everyone finishes or the horizon is
- * reached, on up to setThreads() host threads (one per shard at
- * most). Results are byte-deterministic in the thread count.
+ * The scheduler. Actors are registered (not owned), then run() drives
+ * them and any posted events in simulated-time order until everyone
+ * finishes or the horizon is reached.
  */
 class Engine
 {
   public:
-    /** Delivered cross-shard event: fn(deliver_time). */
+    /** Delivered event: fn(deliver_time). */
     using EventFn = std::function<void(SimNs)>;
 
-    /** Inter-shard channel capacity (pending events per shard). */
-    static constexpr std::size_t channelCapacity = 4096;
-
-    /**
-     * Thread count defaults to the ELISA_SIM_THREADS environment
-     * variable when set (0 means "hardware concurrency"), else 1.
-     */
-    Engine();
-
+    Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
     /**
-     * Register an actor into @p shard; the caller keeps ownership.
-     * Actors that interact through shared state (SimLock,
-     * SimResource, one hypervisor's VMs) must share a shard.
+     * Register an actor; the caller keeps ownership.
      * @return the actor's registration id (the scheduling tie-break).
      */
-    RegId add(Actor *actor, ShardId shard = 0);
+    RegId add(Actor *actor);
 
     /**
-     * Drop all registered actors and undelivered cross-shard events,
-     * and rewind the sampler bookkeeping to the start of its series
-     * (the next boundary is one full period after time zero again),
-     * so a reused Engine never back-dates or skips samples.
+     * Drop all registered actors and undelivered events, reset the
+     * delivery count, and rewind the sampler bookkeeping to the start
+     * of its series (the next boundary is one full period after time
+     * zero again), so a reused Engine never back-dates or skips
+     * samples.
      */
     void clear();
 
     /**
-     * Number of worker threads run() may use. The effective count is
-     * capped by the number of shards; @p n == 0 selects the host's
-     * hardware concurrency. Thread count never changes results.
-     */
-    void setThreads(unsigned n);
-
-    /** Configured worker-thread count (0 = hardware concurrency). */
-    unsigned threads() const { return threadCount; }
-
-    /**
-     * Minimum simulated latency of any cross-shard interaction, in
-     * nanoseconds (>= 1). Every post() must deliver at least this far
-     * after the sending step's scheduled time; in exchange, shards
-     * may safely run ahead of the global frontier by this amount.
-     * Derive it from CostModel::minCrossShardLatencyNs().
-     */
-    void setLookahead(SimNs lookahead_ns);
-
-    /** Current lookahead in nanoseconds. */
-    SimNs lookahead() const { return lookaheadNs; }
-
-    /**
-     * Send a cross-shard event: @p fn runs on shard @p dest's owning
-     * thread once that shard's execution reaches @p deliver_at, after
-     * all of the shard's work strictly before @p deliver_at and
-     * before its work at or after it. Events with equal delivery time
-     * merge in (source shard, source sequence) order — fixed at
-     * registration/post time, never by host-thread timing.
+     * Schedule @p fn to run at simulated time @p deliver_at, after all
+     * work strictly before @p deliver_at and before any actor step at
+     * it. Events with equal delivery times run in post order.
      *
      * Only callable from within a step() or a delivered event, with
-     * deliver_at >= (current item's scheduled time + lookahead); any
-     * earlier delivery could land in the destination's past and
-     * panics. The channel is bounded (channelCapacity); a poster
-     * blocks until the destination drains when it is full.
-     *
-     * The callback must touch only destination-shard state (it runs
-     * concurrently with every other shard).
+     * @p deliver_at strictly after that item's scheduled time; an
+     * earlier delivery could land in some actor's past and panics.
      */
-    void post(ShardId dest, SimNs deliver_at, EventFn fn);
+    void post(SimNs deliver_at, EventFn fn);
 
     /**
-     * Run until every actor finished or all remaining work (actor
-     * steps and pending events) lies at or past @p horizon_ns. Actors
-     * whose clock exceeds the horizon stop being stepped but are not
-     * asked to finish; undelivered events at or past the horizon stay
-     * queued for a later run().
+     * Run until every actor finished and every event was delivered, or
+     * all remaining work (actor steps and pending events) lies at or
+     * past @p horizon_ns. Actors whose clock reaches the horizon stop
+     * being stepped but are not asked to finish; undelivered events at
+     * or past the horizon stay queued for a later run().
      *
      * @return total number of step() calls issued by this run.
      */
     std::uint64_t run(SimNs horizon_ns = ~SimNs{0});
 
     /** Number of actors still runnable after the last run(). */
-    std::size_t runnable() const;
+    std::size_t runnable() const { return aliveCount; }
 
-    /** Cross-shard events delivered over the engine's lifetime. */
-    std::uint64_t delivered() const;
-
-    /** Number of shards (highest shard id registered + 1). */
-    std::size_t shardCount() const { return shards.size(); }
+    /** Events delivered since construction or the last clear(). */
+    std::uint64_t delivered() const { return deliveredEvents; }
 
     /**
      * Install a periodic simulated-time sampler: once every pending
@@ -179,37 +118,24 @@ class Engine
      * invokes @p fn with that boundary before executing any of it.
      * The callback fires once per boundary in strictly increasing
      * order (boundaries the whole population skipped over are each
-     * still fired — a time series never has holes), and because the
-     * global causal frontier drives it, no actor in any shard can
-     * later perform work at a simulated time before a sample that
-     * already fired: all shards are provably quiescent below the
-     * boundary while @p fn runs, so it may read cross-shard state.
-     * A null @p fn (or period 0) uninstalls. Pair it with
-     * MetricsCsvSampler for metrics snapshots.
+     * still fired — a time series never has holes). Every actor and
+     * event is quiescent below the boundary while @p fn runs, so no
+     * work can later happen at a simulated time before a sample that
+     * already fired. A null @p fn (or period 0) uninstalls. Pair it
+     * with MetricsCsvSampler for metrics snapshots.
      */
     void setSampler(SimNs period_ns, std::function<void(SimNs)> fn);
 
   private:
-    /** "No pending work below the horizon" frontier sentinel. */
+    /** "No pending work" sentinel time. */
     static constexpr SimNs noWork = ~SimNs{0};
 
-    /** One cross-shard event in flight or pending delivery. */
+    /** One posted event awaiting delivery. */
     struct Event
     {
-        SimNs at = 0;       ///< delivery time
-        ShardId src = 0;    ///< posting shard (merge order, 2nd key)
-        std::uint64_t seq = 0; ///< post order within src (3rd key)
+        SimNs at = 0;          ///< delivery time
+        std::uint64_t seq = 0; ///< post order (equal-time tie-break)
         EventFn fn;
-
-        bool
-        after(const Event &o) const
-        {
-            if (at != o.at)
-                return at > o.at;
-            if (src != o.src)
-                return src > o.src;
-            return seq > o.seq;
-        }
     };
 
     struct EventAfter
@@ -217,7 +143,7 @@ class Engine
         bool
         operator()(const Event &a, const Event &b) const
         {
-            return a.after(b);
+            return a.at != b.at ? a.at > b.at : a.seq > b.seq;
         }
     };
 
@@ -225,71 +151,47 @@ class Engine
     struct Entry
     {
         Actor *actor = nullptr;
-        ShardId shard = 0;
-        SimNs cachedNow = 0;        ///< heap key (<= actorNow())
-        std::uint32_t heapPos = 0;  ///< position in the shard heap
         bool alive = false;
     };
 
-    /** Per-shard scheduling state. Heap/queue are owner-thread only. */
-    struct Shard
+    /** Heap element: an actor and its cached clock. */
+    struct Slot
     {
-        std::vector<RegId> heap; ///< min-heap by (cachedNow, reg)
-        std::priority_queue<Event, std::vector<Event>, EventAfter>
-            events;              ///< delivery-ordered pending events
-        std::vector<Event> inbox; ///< cross-worker handoff (mutex)
-        SimNs nextTime = noWork; ///< authoritative frontier (mutex)
-        unsigned owner = 0;      ///< owning worker index (this run)
-        std::uint64_t steps = 0; ///< step() calls this run
-        std::uint64_t deliveredEvents = 0; ///< lifetime deliveries
-        std::uint64_t postSeq = 0; ///< outgoing event sequence
-        std::size_t alive = 0;   ///< registered, unfinished actors
+        SimNs key = 0; ///< cached actorNow() (<= the live clock)
+        RegId reg = 0;
+
+        /** (key, reg) order without branches: in lockstep runs most
+         *  keys tie and the outcome is a coin flip. */
+        bool
+        before(const Slot &o) const
+        {
+            return (key < o.key) | ((key == o.key) & (reg < o.reg));
+        }
     };
 
-    // Heap primitives (owner-thread only).
-    bool heapBefore(RegId a, RegId b) const;
-    void siftUp(Shard &sh, std::uint32_t pos);
-    void siftDown(Shard &sh, std::uint32_t pos);
-    void heapRemoveTop(Shard &sh);
+    void siftDown(std::size_t pos);
+    void heapRemoveTop();
 
     /**
-     * Refresh the heap top's cached key against the live clock (an
-     * event callback may have advanced an actor), then return the
-     * shard's earliest pending work below the horizon, or noWork.
+     * Clock of the earliest runnable actor, or noWork. Re-keys a stale
+     * heap top first: an event callback may have advanced an actor.
      */
-    SimNs shardNext(Shard &sh);
-
-    /** Move inbox events (mutex held) into the delivery queue. */
-    void drainInbox(Shard &sh);
-
-    /**
-     * Execute every item of @p sh scheduled strictly before @p safe:
-     * pending events first at equal times, then actor steps, all in
-     * (time, tie-break) order. Lock-free except post() calls made by
-     * the items themselves.
-     */
-    void executeBatch(ShardId sid, SimNs safe);
-
-    /** Worker @p w body: drains, schedules, executes, terminates. */
-    void workerLoop(unsigned w);
+    SimNs nextActorTime();
 
     std::vector<Entry> entries;
-    std::vector<std::unique_ptr<Shard>> shards;
+    std::vector<Slot> heap; ///< min-heap of runnable actors
+    std::priority_queue<Event, std::vector<Event>, EventAfter> events;
+    std::size_t aliveCount = 0;
+    std::uint64_t deliveredEvents = 0;
+    std::uint64_t postSeq = 0;
 
     SimNs samplePeriod = 0;
     SimNs nextSample = 0;
     std::function<void(SimNs)> sampler;
 
-    unsigned threadCount = 1;
-    SimNs lookaheadNs = 1;
-
-    // ---- state of the run in progress ------------------------------
-    std::mutex mu;
-    std::condition_variable cv;
     bool running = false;
-    bool done = false;
-    unsigned workerCount = 1;
-    SimNs runHorizon = ~SimNs{0};
+    bool inItem = false; ///< a step() or event callback is executing
+    SimNs itemTime = 0;  ///< scheduled time of that item
 };
 
 } // namespace elisa::sim

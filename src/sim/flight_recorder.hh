@@ -17,7 +17,7 @@
  * chaos tests enforce, now checked at every death.
  *
  * Everything is simulated-time data; dumps are byte-deterministic for
- * a given machine history (and therefore across engine thread counts).
+ * a given machine history.
  */
 
 #ifndef ELISA_SIM_FLIGHT_RECORDER_HH

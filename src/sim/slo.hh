@@ -9,9 +9,9 @@
  * long-window burn-rate shape collapsed onto the snapshot cadence:
  * the cadence is the short window, burnWindow × cadence the long one.
  * Everything is integer/compare math over already-deterministic
- * snapshot bytes, so alert instants are byte-reproducible across runs
- * and engine thread counts; each firing emits a SpanCat::Telemetry
- * instant into the trace (arg0 = rule index, arg1 = observed value).
+ * snapshot bytes, so alert instants are byte-reproducible across runs;
+ * each firing emits a SpanCat::Telemetry instant into the trace
+ * (arg0 = rule index, arg1 = observed value).
  *
  * Rule kinds:
  *  - CounterRateAbove: d(counter)/d(sim seconds) between consecutive

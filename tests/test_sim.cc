@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit + property tests for the simulation core: clocks, RNG, stats,
- * histograms, resources, and the conservative engine.
+ * histograms, resources, and the discrete-event engine.
  */
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -393,7 +395,6 @@ TEST(Engine, ZeroActorRunTerminates)
     EXPECT_EQ(engine.run(), 0u);
 
     std::vector<SimNs> samples;
-    engine.setThreads(4);
     engine.setSampler(100, [&](SimNs t) { samples.push_back(t); });
     EXPECT_EQ(engine.run(1000), 0u);
     EXPECT_TRUE(samples.empty());
@@ -521,19 +522,14 @@ TEST(Engine, ActorAddedPastNextSampleBackfillsBoundaries)
     EXPECT_EQ(log, (std::vector<int>{-1, -2, 1, 1, -3, 1}));
 }
 
-/**
- * Test actor: every step posts a cross-shard event that occupies a
- * SimResource living in the destination shard.
- */
-class CrossShardPoster : public Actor
+/** Test actor: one step at each of @p times, running @p body there. */
+class TimedActor : public Actor
 {
   public:
-    CrossShardPoster(Engine &engine, ShardId dest, SimNs stride,
-                     int steps, SimResource &res,
-                     std::vector<std::pair<SimNs, int>> *grants, int tag)
-        : engine(engine), dest(dest), stride(stride), remaining(steps),
-          res(&res), grants(grants), tag(tag)
+    TimedActor(std::vector<SimNs> times, std::function<void(SimNs)> body)
+        : times(std::move(times)), body(std::move(body))
     {
+        clock.syncTo(this->times.front());
     }
 
     SimNs actorNow() const override { return clock.now(); }
@@ -541,74 +537,71 @@ class CrossShardPoster : public Actor
     bool
     step() override
     {
-        engine.post(dest, clock.now() + engine.lookahead(),
-                    [this](SimNs at) {
-                        grants->push_back({res->submit(at, 7), tag});
-                    });
-        clock.advance(stride);
-        return --remaining > 0;
+        body(clock.now());
+        if (++next == times.size())
+            return false;
+        clock.syncTo(times[next]);
+        return true;
     }
 
   private:
-    Engine &engine;
-    ShardId dest;
+    std::vector<SimNs> times;
+    std::function<void(SimNs)> body;
+    std::size_t next = 0;
     SimClock clock;
-    SimNs stride;
-    int remaining;
-    SimResource *res;
-    std::vector<std::pair<SimNs, int>> *grants;
-    int tag;
 };
 
-TEST(Engine, CrossShardResourceRaceHasSameWinnerAtAnyThreadCount)
+TEST(Engine, EqualTimeEventsDeliverInPostOrderBeforeSteps)
 {
-    // Two shards race for one SimResource owned by a third shard;
-    // their requests arrive as cross-shard events with identical
-    // delivery times. The merge order — and therefore every grant
-    // time the resource hands out — must be a pure function of the
-    // simulated workload, not of host-thread scheduling.
-    auto race = [](unsigned threads) {
-        SimResource res;
-        std::vector<std::pair<SimNs, int>> grants;
-        std::vector<int> log;
-        Engine engine;
-        engine.setThreads(threads);
-        engine.setLookahead(25);
-        StrideActor owner(10, 1, &log, 0); // anchors shard 0
-        engine.add(&owner, 0);
-        CrossShardPoster p1(engine, 0, 10, 50, res, &grants, 1);
-        CrossShardPoster p2(engine, 0, 10, 50, res, &grants, 2);
-        engine.add(&p1, 1);
-        engine.add(&p2, 2);
-        engine.run();
-        EXPECT_EQ(engine.delivered(), 100u);
-        EXPECT_EQ(grants.size(), 100u);
-        return std::make_pair(grants, res.busyUntil());
+    // Two actors aim events at t=100 from interleaved post times, and
+    // a third steps at exactly t=100. Delivery follows post order
+    // across posters, every event at 100 precedes the step at 100, and
+    // an event posted from inside an event callback is delivered too.
+    Engine engine;
+    std::vector<std::string> log;
+    auto logAt = [&](std::string tag) {
+        return [&log, tag](SimNs t) {
+            log.push_back(tag + "@" + std::to_string(t));
+        };
     };
+    TimedActor observer({100}, logAt("step"));
+    TimedActor p1({0, 20}, [&](SimNs t) {
+        engine.post(100, logAt(t == 0 ? "p1a" : "p1b"));
+    });
+    TimedActor p2({10}, [&](SimNs) {
+        engine.post(100, [&](SimNs t) {
+            logAt("p2")(t);
+            engine.post(150, logAt("chained"));
+        });
+    });
+    // Registered first, yet it steps after every event at its time.
+    engine.add(&observer);
+    engine.add(&p1);
+    engine.add(&p2);
 
-    const auto serial = race(1);
-    const auto parallel4 = race(4);
-    const auto parallel2 = race(2);
-    EXPECT_EQ(serial, parallel4);
-    EXPECT_EQ(serial, parallel2);
-    // Equal delivery times resolve by source shard: shard 1 wins.
-    EXPECT_EQ(serial.first.front().second, 1);
+    EXPECT_EQ(engine.run(), 4u);
+    EXPECT_EQ(engine.delivered(), 4u);
+    EXPECT_EQ(log, (std::vector<std::string>{"p1a@100", "p2@100",
+                                             "p1b@100", "step@100",
+                                             "chained@150"}));
 }
 
-TEST(CostModel, MinCrossShardLatencyIsTheCheapestTransport)
+TEST(EngineDeathTest, PostNotStrictlyAfterItemTimePanics)
 {
-    CostModel cost;
-    // Defaults: a 64 B frame's wire time (70.4 ns floored) undercuts
-    // the IPI (1100) and propagation (11000) latencies.
-    EXPECT_EQ(cost.minCrossShardLatencyNs(), 70u);
-
-    // The bound tracks the cheapest transport under overlays and
-    // never collapses to zero (the engine needs lookahead >= 1).
-    cost.nicLineRateBps = 40e9; // wire time 17.6 ns
-    cost.ipiDeliverNs = 30;
-    EXPECT_EQ(cost.minCrossShardLatencyNs(), 17u);
-    cost.nicLineRateBps = 1000e9; // wire time below 1 ns
-    EXPECT_EQ(cost.minCrossShardLatencyNs(), 1u);
+    // A delivery at or before the posting item's time could land in
+    // some actor's past; both must panic.
+    for (SimNs back : {SimNs{0}, SimNs{1}}) {
+        EXPECT_DEATH(
+            {
+                Engine engine;
+                TimedActor a({50}, [&](SimNs t) {
+                    engine.post(t - back, [](SimNs) {});
+                });
+                engine.add(&a);
+                engine.run();
+            },
+            "strictly after the posting item");
+    }
 }
 
 TEST(CostModel, PaperHeadlineCalibration)

@@ -19,7 +19,7 @@
  * shift amortized warmup slightly).
  *
  * Metrics whose key starts with "wall_" are host wall-clock derived
- * (sim/wall ratios, parallel speedups): inherently noisy and
+ * (sim/wall ratios, host throughput): inherently noisy and
  * machine-dependent, so they get their own generous tolerance
  * (--wall-tolerance, default 60 %) and are gated one-sided — only a
  * drop below baseline fails; running on a faster or wider box passes.
