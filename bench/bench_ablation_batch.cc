@@ -102,6 +102,7 @@ main(int argc, char **argv)
                                       (double)batch)});
     }
     std::printf("%s\n", table.render().c_str());
+    saveCsv(table, "A3_batch_ablation");
     std::printf("  fine-grained sharing (batch 1) is where the exit "
                 "cost decides the outcome —\n"
                 "  exactly the regime of per-packet I/O and per-op "

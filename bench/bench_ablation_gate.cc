@@ -87,6 +87,7 @@ main(int argc, char **argv)
              "no  <- caller stack leaks into sub ctx"});
     tbl.row({"VMCALL", detail::format("%.0f", vmcall), "yes (host)"});
     std::printf("%s\n", tbl.render().c_str());
+    saveCsv(tbl, "A1_gate_ablation");
 
     std::printf("  gate-context premium: %.0f ns/call (%.0f%% of the "
                 "gated RTT) buys per-client\n"
@@ -107,6 +108,7 @@ main(int argc, char **argv)
     app.row({"VMCALL",
              detail::format("%.2f", 1e3 / (get_core + vmcall))});
     std::printf("%s\n", app.render().c_str());
+    saveCsv(app, "A1_gate_ablation_kvs");
     std::printf("  the unsafe design would gain only ~%.0f%% GET "
                 "throughput: the gate is cheap\n"
                 "  relative to the work it protects.\n",

@@ -76,6 +76,7 @@ main(int argc, char **argv)
                    detail::format("%+.0f ns", flushed - tagged)});
     }
     std::printf("%s\n", table.render().c_str());
+    saveCsv(table, "A2_tlb_ablation");
     std::printf("  without tagging, every call re-walks its working "
                 "set (%llu ns per page);\n"
                 "  at 64 pages/call the penalty dwarfs the 196 ns "

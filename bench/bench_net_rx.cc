@@ -52,7 +52,7 @@ main(int argc, char **argv)
     // --- the HyperNF observation (intro / §7.1) ---------------------
     std::printf("\nHyperNF-class NF work (heavier per-packet "
                 "processing):\n");
-    sim::CostModel heavy = sim::CostModel::fromEnv();
+    sim::CostModel heavy;
     heavy.netPerPacketNs += 615; // NF chain processing per packet
     Testbed bed2(1536 * MiB, heavy);
     hv::Vm &vm2 = bed2.addGuest("rx-heavy", 64 * MiB);

@@ -71,6 +71,7 @@ main(int argc, char **argv)
                        humanNs((double)detach_ns)});
         }
         std::printf("%s\n", table.render().c_str());
+        saveCsv(table, "T4_setup_export");
         std::printf("  attach cost scales with the number of sub-EPT "
                     "leaves (one PTE write each;\n"
                     "  large pages flatten it for big objects, next "
@@ -138,6 +139,7 @@ main(int argc, char **argv)
                        humanNs((double)cost_ns)});
         }
         std::printf("%s\n", table.render().c_str());
+        saveCsv(table, "T4_setup_large_pages");
         std::printf("  2 MiB EPT leaves cut the PTE writes for big "
                     "objects by ~512x, shrinking\n"
                     "  attach latency accordingly (an extension over "
@@ -186,6 +188,7 @@ main(int argc, char **argv)
                        detail::format("%.0f ns", rtt)});
         }
         std::printf("%s\n", table.render().c_str());
+        saveCsv(table, "T4_setup_eptp_headroom");
         std::printf("  each attachment consumes 2 of the 512 EPTP-list "
                     "slots (gate + sub context),\n"
                     "  bounding one vCPU to ~255 concurrent "

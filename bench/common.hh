@@ -34,8 +34,7 @@ namespace elisa::bench
 struct Testbed
 {
     explicit Testbed(std::uint64_t phys_bytes = 1536 * MiB,
-                     const sim::CostModel &cost =
-                         sim::CostModel::fromEnv())
+                     const sim::CostModel &cost = sim::CostModel{})
         : hv(phys_bytes, cost), svc(hv),
           managerVm(hv.createVm("manager", 128 * MiB)),
           manager(managerVm, svc)
@@ -128,7 +127,7 @@ banner(const char *exp_id, const char *title)
     const char *rule = "==================================================="
                        "===========";
     std::printf("%s\n%s: %s\n%s\n%s\n", rule, exp_id, title,
-                sim::CostModel::fromEnv().summary().c_str(), rule);
+                sim::CostModel{}.summary().c_str(), rule);
 }
 
 /**

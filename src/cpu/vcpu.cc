@@ -27,19 +27,9 @@ Vcpu::Vcpu(VcpuId id, VmId owner, mem::HostMemory &memory,
 }
 
 void
-Vcpu::setTracer(sim::Tracer *tracer)
-{
-    tracerPtr = tracer;
-    if (tracerPtr) {
-        vmfuncName = tracerPtr->intern("vmfunc");
-        vmcallName = tracerPtr->intern("vmcall");
-    }
-}
-
-void
 Vcpu::traceVmfunc(std::uint64_t leaf, EptpIndex index)
 {
-    tracerPtr->instant(sim::SpanCat::Cpu, vmfuncName, vcpuId,
+    tracerPtr->instant(sim::SpanCat::Cpu, sim::TraceName::Vmfunc, vcpuId,
                        simClock.now(), leaf, index);
 }
 
@@ -117,8 +107,9 @@ Vcpu::vmcall(const HypercallArgs &args)
     // dispatch span (with the hypercall's name) inside this one. The
     // RAII span closes the frame even when the handler throws a
     // VmExitEvent (e.g. an injected KillVm fault).
-    sim::ScopedSpan span(tracerPtr, sim::SpanCat::Cpu, vmcallName,
-                         vcpuId, simClock, args.nr);
+    sim::ScopedSpan span(tracerPtr, sim::SpanCat::Cpu,
+                         sim::TraceName::Vmcall, vcpuId, simClock,
+                         args.nr);
     // Ledger double-entry, exception-safe: the exit+dispatch ns above
     // are charged even when the handler throws (the VM runner then
     // charges the faulting exit separately), the vmentry ns only when

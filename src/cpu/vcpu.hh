@@ -193,7 +193,7 @@ class Vcpu
      * Non-owning; the hypervisor propagates this to every vCPU. With
      * no tracer installed every trace point is one pointer test.
      */
-    void setTracer(sim::Tracer *tracer);
+    void setTracer(sim::Tracer *tracer) { tracerPtr = tracer; }
 
     /** The installed tracer, or nullptr (instrumented callers). */
     sim::Tracer *tracer() const { return tracerPtr; }
@@ -257,9 +257,6 @@ class Vcpu
 
     /** Machine tracer (nullptr = tracing off). */
     sim::Tracer *tracerPtr = nullptr;
-    // Interned event names, resolved once at setTracer().
-    sim::TraceNameId vmfuncName = 0;
-    sim::TraceNameId vmcallName = 0;
 
     /** EPT-fault resolver (nullptr = no paging). */
     EptFaultSink *faultSinkPtr = nullptr;

@@ -11,14 +11,7 @@ namespace elisa::core
 namespace
 {
 
-// Trace-point names for the gate path; interned lazily because gates
-// usually exist before any tracer is installed.
-sim::TraceNameCache gateCallName("gate_call");
-sim::TraceNameCache gateBatchName("gate_batch");
-sim::TraceNameCache eptpSwitchName("eptp_switch");
-sim::TraceNameCache stackSwapName("stack_swap");
-sim::TraceNameCache payloadName("payload");
-sim::TraceNameCache returnPhaseName("return");
+using sim::TraceName;
 
 /**
  * Span for the traced gate body; the untraced instantiation uses the
@@ -28,7 +21,7 @@ sim::TraceNameCache returnPhaseName("return");
 template <bool Traced>
 struct GateSpan
 {
-    GateSpan(sim::Tracer *, sim::TraceNameCache &, std::uint32_t,
+    GateSpan(sim::Tracer *, TraceName, std::uint32_t,
              const sim::SimClock &, std::uint64_t = 0,
              std::uint64_t = 0)
     {}
@@ -39,11 +32,11 @@ struct GateSpan
 template <>
 struct GateSpan<true> : sim::ScopedSpan
 {
-    GateSpan(sim::Tracer *tr, sim::TraceNameCache &name,
-             std::uint32_t track, const sim::SimClock &clock,
-             std::uint64_t a0 = 0, std::uint64_t a1 = 0)
-        : sim::ScopedSpan(tr, sim::SpanCat::Gate, name.get(*tr), track,
-                          clock, a0, a1)
+    GateSpan(sim::Tracer *tr, TraceName name, std::uint32_t track,
+             const sim::SimClock &clock, std::uint64_t a0 = 0,
+             std::uint64_t a1 = 0)
+        : sim::ScopedSpan(tr, sim::SpanCat::Gate, name, track, clock, a0,
+                          a1)
     {}
 };
 
@@ -285,7 +278,8 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
     // a faulted entry is attributed to this call; the RAII end closes
     // it on every unwind path. A successful call stamps (ret, fn+1) on
     // the close; a faulted one leaves (0, 0).
-    GateSpan<Traced> call_span(tr, gateCallName, track, cpu.clock(), fn);
+    GateSpan<Traced> call_span(tr, TraceName::GateCall, track,
+                               cpu.clock(), fn);
     maybeInjectStale();
 
     if constexpr (Ledgered)
@@ -293,7 +287,7 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
 
     // --- enter: default -> gate ------------------------------------
     {
-        GateSpan<Traced> s(tr, eptpSwitchName, track, cpu.clock(),
+        GateSpan<Traced> s(tr, TraceName::EptpSwitch, track, cpu.clock(),
                            attachInfo.gateIndex);
         cpu.vmfunc(0, attachInfo.gateIndex);
     }
@@ -305,7 +299,7 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
     // checks real, time folded into gateCodeNs.
     cpu::GuestView gate_view(cpu, /*charge_time=*/false);
     {
-        GateSpan<Traced> s(tr, stackSwapName, track, cpu.clock());
+        GateSpan<Traced> s(tr, TraceName::StackSwap, track, cpu.clock());
         gate_view.fetchCheck(gateCodeGpa);
         const std::uint64_t spill[4] = {caller_index, arg0, arg1, arg2};
         gate_view.writeBytes(gateStackGpa, spill, sizeof(spill));
@@ -316,7 +310,7 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
 
     // --- gate -> sub --------------------------------------------------
     {
-        GateSpan<Traced> s(tr, eptpSwitchName, track, cpu.clock(),
+        GateSpan<Traced> s(tr, TraceName::EptpSwitch, track, cpu.clock(),
                            attachInfo.subIndex);
         cpu.vmfunc(0, attachInfo.subIndex);
     }
@@ -343,7 +337,7 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
                    arg2};
     std::uint64_t ret;
     {
-        GateSpan<Traced> s(tr, payloadName, track, cpu.clock(), fn);
+        GateSpan<Traced> s(tr, TraceName::Payload, track, cpu.clock(), fn);
         ret = table[fn](ctx);
     }
 
@@ -353,11 +347,11 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
         leg_start = cpu.clock().now();
 
     {
-        GateSpan<Traced> s(tr, returnPhaseName, track, cpu.clock());
+        GateSpan<Traced> s(tr, TraceName::Return, track, cpu.clock());
         // --- sub -> gate ------------------------------------------
         {
-            GateSpan<Traced> sw(tr, eptpSwitchName, track, cpu.clock(),
-                                attachInfo.gateIndex);
+            GateSpan<Traced> sw(tr, TraceName::EptpSwitch, track,
+                                cpu.clock(), attachInfo.gateIndex);
             cpu.vmfunc(0, attachInfo.gateIndex);
         }
         if constexpr (Ledgered)
@@ -373,8 +367,8 @@ Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
             charge_leg(GateLeg::Epilogue);
 
         // --- gate -> default --------------------------------------
-        GateSpan<Traced> sw(tr, eptpSwitchName, track, cpu.clock(),
-                            restore[0]);
+        GateSpan<Traced> sw(tr, TraceName::EptpSwitch, track,
+                            cpu.clock(), restore[0]);
         cpu.vmfunc(0, static_cast<EptpIndex>(restore[0]));
         if constexpr (Ledgered)
             charge_leg(GateLeg::ExitSwitch);
@@ -424,8 +418,8 @@ Gate::callBatchImpl(std::span<BatchEntry> entries)
         leg_start = now;
     };
 
-    GateSpan<Traced> call_span(tr, gateBatchName, track, cpu.clock(),
-                               entries.size());
+    GateSpan<Traced> call_span(tr, TraceName::GateBatch, track,
+                               cpu.clock(), entries.size());
     maybeInjectStale();
 
     if constexpr (Ledgered)
@@ -433,7 +427,7 @@ Gate::callBatchImpl(std::span<BatchEntry> entries)
 
     // One transition in...
     {
-        GateSpan<Traced> s(tr, stackSwapName, track, cpu.clock());
+        GateSpan<Traced> s(tr, TraceName::StackSwap, track, cpu.clock());
         cpu.vmfunc(0, attachInfo.gateIndex);
         if constexpr (Ledgered)
             charge_leg(GateLeg::EnterSwitch);
@@ -454,7 +448,7 @@ Gate::callBatchImpl(std::span<BatchEntry> entries)
     // ...every entry back-to-back under the sub context...
     cpu::GuestView sub_view(cpu);
     {
-        GateSpan<Traced> s(tr, payloadName, track, cpu.clock(),
+        GateSpan<Traced> s(tr, TraceName::Payload, track, cpu.clock(),
                            entries.size());
         for (BatchEntry &entry : entries) {
             if (entry.fn >= table.size())
@@ -475,7 +469,7 @@ Gate::callBatchImpl(std::span<BatchEntry> entries)
     if constexpr (Ledgered)
         leg_start = cpu.clock().now();
     {
-        GateSpan<Traced> s(tr, returnPhaseName, track, cpu.clock());
+        GateSpan<Traced> s(tr, TraceName::Return, track, cpu.clock());
         cpu.vmfunc(0, attachInfo.gateIndex);
         if constexpr (Ledgered)
             charge_leg(GateLeg::ReturnSwitch);

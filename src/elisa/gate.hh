@@ -223,7 +223,7 @@ class Gate
     sim::StatId batchedFnsId = 0;
     sim::StatId badFnId = 0;
     // Ledger leg slots, resolved once per ledger instance
-    // (serial-guarded, like TraceNameCache).
+    // (serial-guarded: a successor ledger may reuse the address).
     std::uint64_t ledgerSerial = 0;
     sim::LedgerSlot legSlots[gateLegCount] = {};
 };

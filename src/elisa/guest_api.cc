@@ -7,14 +7,6 @@
 namespace elisa::core
 {
 
-namespace
-{
-
-/** Trace point linking one retry to its in-flight request span. */
-sim::TraceNameCache attachRetryName("attach_retry");
-
-} // anonymous namespace
-
 const char *
 attachStatusToString(AttachStatus status)
 {
@@ -205,12 +197,12 @@ ElisaGuest::attachWithRetry(const ExportKey &key,
                 // one is in flight; otherwise a plain instant.
                 if (request != 0) {
                     tr->asyncInstant(sim::SpanCat::Negotiation,
-                                     attachRetryName.get(*tr), request,
-                                     vcpu().id(), vcpu().clock().now(),
-                                     attempt);
+                                     sim::TraceName::AttachRetry,
+                                     request, vcpu().id(),
+                                     vcpu().clock().now(), attempt);
                 } else {
                     tr->instant(sim::SpanCat::Negotiation,
-                                attachRetryName.get(*tr), vcpu().id(),
+                                sim::TraceName::AttachRetry, vcpu().id(),
                                 vcpu().clock().now(), attempt);
                 }
             }

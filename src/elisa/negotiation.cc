@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "base/trace.hh"
 #include "cpu/guest_view.hh"
 
 namespace elisa::core
@@ -25,18 +24,12 @@ copyName(char (&dst)[52], const std::string &src)
 // Negotiation trace points. One async span per request, keyed by its
 // RequestId, runs from AttachRequest to the Query that observes a
 // terminal state; outcome instants land inside it.
-sim::TraceNameCache reqSpanName("attach_request");
-sim::TraceNameCache approvedName("approved");
-sim::TraceNameCache deniedName("denied");
-sim::TraceNameCache timedOutName("timed_out");
-sim::TraceNameCache pendingName("query_pending");
-
+//
 // Capability trace points. One async span per *delegated* grant, keyed
 // by its CapId, runs from Delegate to teardown; redeems land inside it
-// as instants. Root grants piggyback on the attach_request span above
-// and emit nothing of their own.
-sim::TraceNameCache capSpanName("capability");
-sim::TraceNameCache capRedeemedName("cap_redeemed");
+// as instants. Root grants piggyback on the attach_request span and
+// emit nothing of their own.
+using sim::TraceName;
 
 } // anonymous namespace
 
@@ -140,7 +133,7 @@ ElisaService::teardownGrant(CapId id, CapTeardown reason,
         if (actor != nullptr && g.parent != invalidCapId) {
             if (sim::Tracer *tr = hyper.tracer()) {
                 tr->asyncEnd(sim::SpanCat::Negotiation,
-                             capSpanName.get(*tr), cid, actor->id(),
+                             TraceName::Capability, cid, actor->id(),
                              actor->clock().now(),
                              static_cast<std::uint64_t>(reason));
             }
@@ -474,9 +467,6 @@ ElisaService::hcExport(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
                             std::move(staged->second)));
     stagedFns.erase(staged);
     hyper.stats().inc("elisa_exports");
-    ELISA_TRACE(Elisa, "export %u '%s' by VM %u (%llu KiB)", id,
-                name.c_str(), caller,
-                (unsigned long long)(obj_bytes >> 10));
     return id;
 }
 
@@ -596,10 +586,6 @@ ElisaService::hcApprove(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
 
     req.state = RequestState::Approved;
     req.info = attach->info();
-    ELISA_TRACE(Elisa,
-                "approved request %u: attachment %u, gate idx %u, "
-                "sub idx %u",
-                req.id, aid, req.info.gateIndex, req.info.subIndex);
     attachments.emplace(aid, std::move(attach));
     return 0;
 }
@@ -659,12 +645,10 @@ ElisaService::hcAttachRequest(cpu::Vcpu &vcpu,
     req.vcpuIndex = vcpu_index;
     req.name = std::move(name);
     req.createdNs = vcpu.clock().now();
-    ELISA_TRACE(Elisa, "attach request %u: VM %u -> '%s'", rid,
-                vcpu.vm(), req.name.c_str());
     requests.emplace(rid, std::move(req));
     mgr->second.push_back(rid);
     if (sim::Tracer *tr = hyper.tracer()) {
-        tr->asyncBegin(sim::SpanCat::Negotiation, reqSpanName.get(*tr),
+        tr->asyncBegin(sim::SpanCat::Negotiation, TraceName::AttachRequest,
                        rid, vcpu.id(), vcpu.clock().now(), vcpu.vm());
     }
     return rid;
@@ -708,26 +692,26 @@ ElisaService::hcQuery(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
         switch (req.state) {
           case RequestState::Pending:
             tr->asyncInstant(sim::SpanCat::Negotiation,
-                             pendingName.get(*tr), rid, vcpu.id(), now);
+                             TraceName::QueryPending, rid, vcpu.id(), now);
             break;
           case RequestState::Approved:
             tr->asyncInstant(sim::SpanCat::Negotiation,
-                             approvedName.get(*tr), rid, vcpu.id(), now,
+                             TraceName::Approved, rid, vcpu.id(), now,
                              req.info.attachment);
             break;
           case RequestState::Denied:
             tr->asyncInstant(sim::SpanCat::Negotiation,
-                             deniedName.get(*tr), rid, vcpu.id(), now);
+                             TraceName::Denied, rid, vcpu.id(), now);
             break;
           case RequestState::TimedOut:
             tr->asyncInstant(sim::SpanCat::Negotiation,
-                             timedOutName.get(*tr), rid, vcpu.id(),
+                             TraceName::TimedOut, rid, vcpu.id(),
                              now);
             break;
         }
         if (req.state != RequestState::Pending) {
             tr->asyncEnd(sim::SpanCat::Negotiation,
-                         reqSpanName.get(*tr), rid, vcpu.id(), now,
+                         TraceName::AttachRequest, rid, vcpu.id(), now,
                          wire.state);
         }
     }
@@ -757,8 +741,6 @@ ElisaService::hcDetach(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     if (it->second->guestVm() != vcpu.vm())
         return hv::hcError;
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
-    ELISA_TRACE(Elisa, "detach attachment %llu by VM %u",
-                (unsigned long long)args.arg0, vcpu.vm());
     // Detach is grant teardown by another name: the attachment's grant
     // subtree — including any delegation the guest handed onward — is
     // torn down in the one canonical order.
@@ -791,9 +773,6 @@ ElisaService::hcRevoke(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
         return hv::hcError;
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
     const std::string name = it->second->name();
-    ELISA_TRACE(Elisa, "revoke export %llu '%s' by VM %u",
-                (unsigned long long)args.arg0, name.c_str(),
-                vcpu.vm());
     return revokeExport(name) ? 0 : hv::hcError;
 }
 
@@ -871,14 +850,8 @@ ElisaService::hcDelegate(cpu::Vcpu &vcpu,
         mintGrant(g.id, g.exportId, vcpu.vm(), target, g.offset + off,
                   len, child_perms, expires);
     hyper.stats().inc(delegationsId);
-    ELISA_TRACE(Elisa,
-                "delegate grant %llu -> %llu: VM %u -> VM %u "
-                "(%llu KiB @ +%llu)",
-                (unsigned long long)g.id, (unsigned long long)child,
-                vcpu.vm(), target, (unsigned long long)(len >> 10),
-                (unsigned long long)off);
     if (sim::Tracer *tr = hyper.tracer()) {
-        tr->asyncBegin(sim::SpanCat::Negotiation, capSpanName.get(*tr),
+        tr->asyncBegin(sim::SpanCat::Negotiation, TraceName::Capability,
                        child, vcpu.id(), vcpu.clock().now(),
                        args.arg0, target);
     }
@@ -967,11 +940,9 @@ ElisaService::hcRedeem(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     view.write(args.arg1, wire);
 
     hyper.stats().inc(redeemsId);
-    ELISA_TRACE(Elisa, "redeem grant %llu: attachment %u on VM %u",
-                (unsigned long long)g.id, aid, vcpu.vm());
     if (sim::Tracer *tr = hyper.tracer()) {
         tr->asyncInstant(sim::SpanCat::Negotiation,
-                         capRedeemedName.get(*tr), g.id, vcpu.id(),
+                         TraceName::CapRedeemed, g.id, vcpu.id(),
                          vcpu.clock().now(), aid);
     }
     attachments.emplace(aid, std::move(attach));
@@ -1020,8 +991,6 @@ ElisaService::hcCapRevoke(cpu::Vcpu &vcpu,
         return hv::hcError;
 
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
-    ELISA_TRACE(Elisa, "revoke grant %llu by VM %u",
-                (unsigned long long)id, vcpu.vm());
     teardownGrant(id, CapTeardown::Revoke, &vcpu);
     return 0;
 }

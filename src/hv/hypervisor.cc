@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "base/trace.hh"
 #include "cpu/guest_view.hh"
 
 namespace elisa::hv
@@ -49,9 +48,6 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
         vcpuOwner[ref.vcpu(i).id()] = id;
     vms.emplace(id, std::move(vm));
     statSet.inc("vm_created");
-    ELISA_TRACE(Hv, "created VM %u '%s' (%llu MiB RAM)", id,
-                ref.name().c_str(),
-                (unsigned long long)(ram_bytes >> 20));
     return ref;
 }
 
@@ -92,7 +88,6 @@ Hypervisor::destroyVm(VmId id)
     vms.erase(it);
     frames.dropOwner(id);
     statSet.inc("vm_destroyed");
-    ELISA_TRACE(Hv, "destroyed VM %u", id);
 }
 
 void
@@ -114,13 +109,6 @@ Hypervisor::setTracer(sim::Tracer *tracer)
 {
     tracerPtr = tracer;
     hcNameIds.clear();
-    if (tracerPtr) {
-        faultDropName = tracerPtr->intern("fault_drop");
-        faultErrorName = tracerPtr->intern("fault_error");
-        faultDelayName = tracerPtr->intern("fault_delay");
-        faultDupName = tracerPtr->intern("fault_duplicate");
-        faultKillName = tracerPtr->intern("fault_kill_vm");
-    }
     for (auto &[id, vm] : vms) {
         for (unsigned i = 0; i < vm->vcpuCount(); ++i)
             vm->vcpu(i).setTracer(tracer);
@@ -203,14 +191,14 @@ Hypervisor::setHypercallName(std::uint64_t nr, std::string name)
     hcNameIds.erase(nr);
 }
 
-sim::TraceNameId
+sim::TraceName
 Hypervisor::hcSpanName(std::uint64_t nr)
 {
     auto it = hcNameIds.find(nr);
     if (it != hcNameIds.end())
         return it->second;
     auto named = hcNames.find(nr);
-    const sim::TraceNameId id =
+    const sim::TraceName id =
         named != hcNames.end()
             ? tracerPtr->intern(named->second)
             : tracerPtr->intern(
@@ -266,8 +254,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
     // One span per hypercall, named after the call, closed even when
     // an injected KillVm unwinds this frame with a VmExitEvent.
     sim::ScopedSpan span(tracerPtr, sim::SpanCat::Hypercall,
-                         tracerPtr ? hcSpanName(args.nr) : 0, vcpu.id(),
-                         vcpu.clock(), args.nr, args.arg0);
+                         tracerPtr ? hcSpanName(args.nr)
+                                   : sim::TraceName::Unknown,
+                         vcpu.id(), vcpu.clock(), args.nr, args.arg0);
 
     if (faults != nullptr) {
         // Tear down VMs whose injected death was deferred out of their
@@ -287,9 +276,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             statSet.inc(faultInjectedId);
             statSet.inc(faultDroppedId);
             if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDropName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
+                tracerPtr->instant(sim::SpanCat::Fault,
+                                   sim::TraceName::FaultDrop, vcpu.id(),
+                                   vcpu.clock().now(), args.nr);
             }
             span.setEndArgs(hcError, 1);
             return hcError;
@@ -298,9 +287,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             statSet.inc(faultInjectedId);
             statSet.inc(faultErrorsId);
             if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultErrorName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
+                tracerPtr->instant(sim::SpanCat::Fault,
+                                   sim::TraceName::FaultError, vcpu.id(),
+                                   vcpu.clock().now(), args.nr);
             }
             span.setEndArgs(hcError, 1);
             return hcError;
@@ -311,9 +300,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             statSet.inc(faultDelayedId);
             vcpu.clock().advance(fault.param);
             if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDelayName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr, fault.param);
+                tracerPtr->instant(sim::SpanCat::Fault,
+                                   sim::TraceName::FaultDelay, vcpu.id(),
+                                   vcpu.clock().now(), args.nr, fault.param);
             }
             break;
           case sim::FaultAction::Duplicate: {
@@ -323,9 +312,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             statSet.inc(faultInjectedId);
             statSet.inc(faultDuplicatedId);
             if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDupName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
+                tracerPtr->instant(sim::SpanCat::Fault,
+                                   sim::TraceName::FaultDuplicate, vcpu.id(),
+                                   vcpu.clock().now(), args.nr);
             }
             auto dup = hypercalls.find(args.nr);
             if (dup == hypercalls.end()) {
@@ -343,9 +332,9 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             statSet.inc(faultVmKillsId);
             const VmId victim = static_cast<VmId>(fault.param);
             if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultKillName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr, victim);
+                tracerPtr->instant(sim::SpanCat::Fault,
+                                   sim::TraceName::FaultKillVm, vcpu.id(),
+                                   vcpu.clock().now(), args.nr, victim);
             }
             if (recorderPtr)
                 recorderPtr->noteKill(victim, "fault_kill@hypercall");

@@ -325,18 +325,12 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
 
     /** Resolve the dispatch-span name for hypercall @p nr (lazily
      *  interned into the installed tracer). */
-    sim::TraceNameId hcSpanName(std::uint64_t nr);
+    sim::TraceName hcSpanName(std::uint64_t nr);
 
     /** Registered hypercall display names (nr -> name). */
     std::map<std::uint64_t, std::string> hcNames;
     /** Per-tracer cache of interned hypercall span names. */
-    std::map<std::uint64_t, sim::TraceNameId> hcNameIds;
-    // Interned fault-annotation names, resolved at setTracer().
-    sim::TraceNameId faultDropName = 0;
-    sim::TraceNameId faultErrorName = 0;
-    sim::TraceNameId faultDelayName = 0;
-    sim::TraceNameId faultDupName = 0;
-    sim::TraceNameId faultKillName = 0;
+    std::map<std::uint64_t, sim::TraceName> hcNameIds;
 
     /** VMs killed mid-own-hypercall, awaiting a safe teardown point. */
     std::vector<VmId> doomedVms;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hv/hypervisor.hh"
 
 namespace elisa::hv
@@ -31,22 +30,6 @@ Pager::Pager(Hypervisor &hypervisor, const PagingConfig &config)
     pageInErrorsId = stats.id("pager_page_in_errors");
     pageInDelaysId = stats.id("pager_page_in_delays");
     pageInKillsId = stats.id("pager_page_in_kills");
-}
-
-void
-Pager::refreshTraceNames()
-{
-    if (hv.tracerPtr == namesFor)
-        return;
-    namesFor = hv.tracerPtr;
-    if (!namesFor)
-        return;
-    pageInName = namesFor->intern("page_in");
-    zeroFillName = namesFor->intern("zero_fill");
-    pageOutName = namesFor->intern("page_out");
-    pageErrorName = namesFor->intern("fault_page_in_error");
-    pageDelayName = namesFor->intern("fault_page_in_delay");
-    pageKillName = namesFor->intern("fault_kill_vm");
 }
 
 void
@@ -99,11 +82,6 @@ Pager::manageRange(VmId owner, ept::Ept &ept, Gpa gpa, Hpa hpa,
     }
     // Demoted leaves may be cached; flush the context once.
     hv.inveptAll(eptp);
-    ELISA_TRACE(Hv,
-                "pager manages %llu pages of VM %u at HPA %llx (%s)",
-                (unsigned long long)(len / pageSize), owner,
-                (unsigned long long)hpa,
-                demand_zero ? "demand-zero" : "resident");
 }
 
 void
@@ -422,7 +400,6 @@ Pager::pageInHook(cpu::Vcpu &vcpu, Gpa gpa)
     const sim::FaultDecision fault = plan->onPageIn(vcpu.vm());
     if (fault.action == sim::FaultAction::None)
         return SimNs{0};
-    refreshTraceNames();
     switch (fault.action) {
       case sim::FaultAction::Error:
         // The swap device fails the read; the page stays out and the
@@ -432,7 +409,8 @@ Pager::pageInHook(cpu::Vcpu &vcpu, Gpa gpa)
         hv.statSet.inc(hv.faultErrorsId);
         hv.statSet.inc(pageInErrorsId);
         if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageErrorName,
+            hv.tracerPtr->instant(sim::SpanCat::Fault,
+                                  sim::TraceName::FaultPageInError,
                                   vcpu.id(), vcpu.clock().now(), gpa);
         }
         return std::nullopt;
@@ -442,7 +420,8 @@ Pager::pageInHook(cpu::Vcpu &vcpu, Gpa gpa)
         hv.statSet.inc(hv.faultDelayedId);
         hv.statSet.inc(pageInDelaysId);
         if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageDelayName,
+            hv.tracerPtr->instant(sim::SpanCat::Fault,
+                                  sim::TraceName::FaultPageInDelay,
                                   vcpu.id(), vcpu.clock().now(), gpa,
                                   fault.param);
         }
@@ -453,9 +432,9 @@ Pager::pageInHook(cpu::Vcpu &vcpu, Gpa gpa)
         hv.statSet.inc(pageInKillsId);
         const VmId victim = static_cast<VmId>(fault.param);
         if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageKillName,
-                                  vcpu.id(), vcpu.clock().now(), gpa,
-                                  victim);
+            hv.tracerPtr->instant(sim::SpanCat::Fault,
+                                  sim::TraceName::FaultKillVm, vcpu.id(),
+                                  vcpu.clock().now(), gpa, victim);
         }
         if (hv.recorderPtr)
             hv.recorderPtr->noteKill(victim, "fault_kill@page_in");
@@ -547,9 +526,9 @@ Pager::resolve(cpu::Vcpu &vcpu, const ept::EptViolation &violation)
             service->pageNs);
     }
     if (hv.tracerPtr) {
-        refreshTraceNames();
-        const sim::TraceNameId name =
-            service->zeroFill ? zeroFillName : pageInName;
+        const sim::TraceName name = service->zeroFill
+                                        ? sim::TraceName::ZeroFill
+                                        : sim::TraceName::PageIn;
         hv.tracerPtr->begin(sim::SpanCat::Page, name, vcpu.id(), t0,
                             violation.gpa, service->evicted);
         hv.tracerPtr->end(sim::SpanCat::Page, name, vcpu.id(),
@@ -609,10 +588,9 @@ Pager::hostTouch(cpu::Vcpu &billed, Hpa hpa, std::uint64_t len)
                         service->pageNs);
                 }
                 if (hv.tracerPtr) {
-                    refreshTraceNames();
-                    const sim::TraceNameId name = service->zeroFill
-                                                      ? zeroFillName
-                                                      : pageInName;
+                    const sim::TraceName name =
+                        service->zeroFill ? sim::TraceName::ZeroFill
+                                          : sim::TraceName::PageIn;
                     hv.tracerPtr->begin(sim::SpanCat::Page, name,
                                         billed.id(), t0, page,
                                         service->evicted);

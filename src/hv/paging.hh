@@ -54,7 +54,6 @@
 #include "ept/ept.hh"
 #include "mem/backing_store.hh"
 #include "sim/stats.hh"
-#include "sim/tracer.hh"
 
 namespace elisa::hv
 {
@@ -292,9 +291,6 @@ class Pager
      */
     std::optional<SimNs> pageInHook(cpu::Vcpu &vcpu, Gpa gpa);
 
-    /** Re-intern trace names when the installed tracer changes. */
-    void refreshTraceNames();
-
     Hypervisor &hv;
     mem::BackingStore backing;
     std::uint64_t residentLimitFrames;
@@ -316,15 +312,6 @@ class Pager
     sim::StatId pageInErrorsId;
     sim::StatId pageInDelaysId;
     sim::StatId pageInKillsId;
-
-    // Trace names, re-interned when the hypervisor's tracer changes.
-    sim::Tracer *namesFor = nullptr;
-    sim::TraceNameId pageInName = 0;
-    sim::TraceNameId zeroFillName = 0;
-    sim::TraceNameId pageOutName = 0;
-    sim::TraceNameId pageErrorName = 0;
-    sim::TraceNameId pageDelayName = 0;
-    sim::TraceNameId pageKillName = 0;
 };
 
 } // namespace elisa::hv

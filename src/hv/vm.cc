@@ -1,7 +1,6 @@
 #include "hv/vm.hh"
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hv/hypervisor.hh"
 
 namespace elisa::hv
@@ -99,9 +98,6 @@ Vm::run(unsigned vcpu_index, const std::function<void()> &guest_code)
         // back in its default context.
         cpu.clock().advance(hyper.costModel.vmexitNs);
         hyper.statSet.inc(hyper.exitStatId(exit.reason()));
-        ELISA_TRACE(VmExit, "VM %u vCPU %u: %s (qual=%llx)", vmId,
-                    cpu.id(), cpu::exitReasonToString(exit.reason()),
-                    (unsigned long long)exit.qualification());
         cpu.activateEptp(0);
         cpu.clock().advance(hyper.costModel.vmentryNs);
         if (sim::ExitLedger *led = cpu.ledger()) {

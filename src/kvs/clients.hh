@@ -112,26 +112,37 @@ class KvsClient
 
     // Per-op counters; each emits a trace instant when the machine has
     // a tracer installed (one pointer test otherwise).
-    void countGet(cpu::Vcpu &cpu) { countOp(cpu, getsId, getName); }
-    void countPut(cpu::Vcpu &cpu) { countOp(cpu, putsId, putName); }
+    void
+    countGet(cpu::Vcpu &cpu)
+    {
+        countOp(cpu, getsId, sim::TraceName::KvsGet);
+    }
+
+    void
+    countPut(cpu::Vcpu &cpu)
+    {
+        countOp(cpu, putsId, sim::TraceName::KvsPut);
+    }
 
     void
     countRemove(cpu::Vcpu &cpu)
     {
-        countOp(cpu, removesId, removeName);
+        countOp(cpu, removesId, sim::TraceName::KvsRemove);
     }
 
-    void countCas(cpu::Vcpu &cpu) { countOp(cpu, casId, casName); }
+    void
+    countCas(cpu::Vcpu &cpu)
+    {
+        countOp(cpu, casId, sim::TraceName::KvsCas);
+    }
 
   private:
     void
-    countOp(cpu::Vcpu &cpu, sim::StatId id, sim::TraceNameCache &name)
+    countOp(cpu::Vcpu &cpu, sim::StatId id, sim::TraceName name)
     {
         kvsStats->inc(id);
-        if (sim::Tracer *tr = cpu.tracer()) {
-            tr->instant(sim::SpanCat::Kvs, name.get(*tr), cpu.id(),
-                        cpu.clock().now());
-        }
+        if (sim::Tracer *tr = cpu.tracer())
+            tr->instant(sim::SpanCat::Kvs, name, cpu.id(), cpu.clock().now());
     }
 
     sim::StatSet *kvsStats = nullptr;
@@ -139,10 +150,6 @@ class KvsClient
     sim::StatId putsId = 0;
     sim::StatId removesId = 0;
     sim::StatId casId = 0;
-    sim::TraceNameCache getName{"kvs_get"};
-    sim::TraceNameCache putName{"kvs_put"};
-    sim::TraceNameCache removeName{"kvs_remove"};
-    sim::TraceNameCache casName{"kvs_cas"};
 };
 
 // ---- direct mapping -----------------------------------------------

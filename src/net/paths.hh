@@ -125,7 +125,7 @@ class NetPath
     {
         pathStats->inc(txPktsId);
         if (sim::Tracer *tr = cpu.tracer()) {
-            tr->instant(sim::SpanCat::Net, txName.get(*tr), cpu.id(),
+            tr->instant(sim::SpanCat::Net, sim::TraceName::NetTx, cpu.id(),
                         cpu.clock().now(), seq, len);
         }
     }
@@ -136,7 +136,7 @@ class NetPath
     {
         pathStats->inc(rxPktsId);
         if (sim::Tracer *tr = cpu.tracer()) {
-            tr->instant(sim::SpanCat::Net, rxName.get(*tr), cpu.id(),
+            tr->instant(sim::SpanCat::Net, sim::TraceName::NetRx, cpu.id(),
                         cpu.clock().now(), seq, len);
         }
     }
@@ -145,8 +145,6 @@ class NetPath
     sim::StatSet *pathStats = nullptr;
     sim::StatId txPktsId = 0;
     sim::StatId rxPktsId = 0;
-    sim::TraceNameCache txName{"net_tx"};
-    sim::TraceNameCache rxName{"net_rx"};
 };
 
 /** Direct device assignment (SR-IOV VF). */

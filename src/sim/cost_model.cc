@@ -1,61 +1,9 @@
 #include "sim/cost_model.hh"
 
-#include <cstdlib>
-
 #include "base/logging.hh"
 
 namespace elisa::sim
 {
-
-namespace
-{
-
-/** Apply an integer-nanosecond env override, warning on garbage. */
-void
-envNs(const char *name, SimNs &field)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
-        warn("ignoring malformed %s='%s'", name, value);
-        return;
-    }
-    field = static_cast<SimNs>(parsed);
-}
-
-} // anonymous namespace
-
-CostModel
-CostModel::fromEnv()
-{
-    CostModel cost;
-    envNs("ELISA_COST_VMFUNC_NS", cost.vmfuncNs);
-    envNs("ELISA_COST_GATE_NS", cost.gateCodeNs);
-    envNs("ELISA_COST_VMEXIT_NS", cost.vmexitNs);
-    envNs("ELISA_COST_VMENTRY_NS", cost.vmentryNs);
-    envNs("ELISA_COST_DISPATCH_NS", cost.hypercallDispatchNs);
-    envNs("ELISA_COST_KVS_GET_NS", cost.kvsGetCoreNs);
-    envNs("ELISA_COST_KVS_PUT_NS", cost.kvsPutCoreNs);
-    envNs("ELISA_COST_NET_PKT_NS", cost.netPerPacketNs);
-    envNs("ELISA_COST_VSWITCH_NS", cost.vswitchNs);
-    envNs("ELISA_COST_PF_HANDLE_NS", cost.pageFaultHandleNs);
-    envNs("ELISA_COST_SWAP_IN_NS", cost.swapInNs);
-    envNs("ELISA_COST_SWAP_OUT_NS", cost.swapOutNs);
-    envNs("ELISA_COST_ZERO_FILL_NS", cost.zeroFillNs);
-    if (const char *gbps = std::getenv("ELISA_COST_NIC_GBPS")) {
-        char *end = nullptr;
-        const double parsed = std::strtod(gbps, &end);
-        if (end != gbps && *end == '\0' && parsed > 0) {
-            cost.nicLineRateBps = parsed * 1e9;
-        } else {
-            warn("ignoring malformed ELISA_COST_NIC_GBPS='%s'", gbps);
-        }
-    }
-    return cost;
-}
 
 std::string
 CostModel::summary() const

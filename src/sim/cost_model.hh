@@ -175,21 +175,6 @@ struct CostModel
 
     /** Render the calibration summary printed by every bench. */
     std::string summary() const;
-
-    /**
-     * Defaults overlaid with ELISA_COST_* environment variables, so
-     * experiments can re-run under a different machine model without
-     * recompiling:
-     *
-     *   ELISA_COST_VMFUNC_NS, ELISA_COST_GATE_NS,
-     *   ELISA_COST_VMEXIT_NS, ELISA_COST_VMENTRY_NS,
-     *   ELISA_COST_DISPATCH_NS, ELISA_COST_KVS_GET_NS,
-     *   ELISA_COST_KVS_PUT_NS, ELISA_COST_NET_PKT_NS,
-     *   ELISA_COST_VSWITCH_NS, ELISA_COST_NIC_GBPS,
-     *   ELISA_COST_PF_HANDLE_NS, ELISA_COST_SWAP_IN_NS,
-     *   ELISA_COST_SWAP_OUT_NS, ELISA_COST_ZERO_FILL_NS
-     */
-    static CostModel fromEnv();
 };
 
 } // namespace elisa::sim

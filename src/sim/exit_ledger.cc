@@ -1,6 +1,7 @@
 #include "sim/exit_ledger.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -27,8 +28,8 @@ costKindToString(CostKind kind)
 
 ExitLedger::ExitLedger()
 {
-    // Serial 0 is reserved as LedgerSlotCache's "no owner yet".
-    static std::uint64_t nextSerial = 0;
+    // Serial 0 is reserved as the gate's "no ledger resolved yet".
+    static std::atomic<std::uint64_t> nextSerial = 0;
     serialNum = ++nextSerial;
 }
 

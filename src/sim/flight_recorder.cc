@@ -97,8 +97,8 @@ FlightRecorder::push(VmRing &ring, const TraceEvent &event)
 void
 FlightRecorder::observe(const Tracer &tracer)
 {
-    // A successor Tracer restarts the stream (same serial guard as
-    // TraceNameCache — addresses can be recycled, serials cannot).
+    // A successor Tracer restarts the stream (keyed by serial:
+    // addresses can be recycled, serials cannot).
     if (tracer.serial() != tracerSerial) {
         tracerSerial = tracer.serial();
         cursor = 0;

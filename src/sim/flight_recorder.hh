@@ -139,7 +139,7 @@ class FlightRecorder
     std::uint64_t tracerSerial = 0;
     std::uint64_t unresolved = 0;
     std::uint64_t missedEvents = 0;
-    std::map<TraceNameId, std::string> nameTable;
+    std::map<TraceName, std::string> nameTable;
     std::map<RowKey, std::pair<std::uint64_t, std::uint64_t>>
         ledgerBaseline; ///< (events, ns) at baseline time
     std::map<std::uint32_t, std::string> killReasons;

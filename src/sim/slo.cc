@@ -90,13 +90,9 @@ SloWatchdog::evaluate(const SnapshotView &snap)
         ++fired;
         firedAlerts.push_back(Alert{rule.name, snap.simNs(), value});
         if (tracerPtr) {
-            if (tracerPtr->serial() != tracerSerial) {
-                alertName = tracerPtr->intern("slo_alert");
-                tracerSerial = tracerPtr->serial();
-            }
             tracerPtr->instant(
-                SpanCat::Telemetry, alertName, alertTrack, snap.simNs(),
-                static_cast<std::uint64_t>(i),
+                SpanCat::Telemetry, TraceName::SloAlert, alertTrack,
+                snap.simNs(), static_cast<std::uint64_t>(i),
                 static_cast<std::uint64_t>(value));
         }
     }

@@ -103,8 +103,6 @@ class SloWatchdog
 
     Tracer *tracerPtr;
     std::uint32_t alertTrack;
-    TraceNameId alertName = 0;
-    std::uint64_t tracerSerial = 0;
     std::vector<RuleState> rules;
     std::vector<Alert> firedAlerts;
     std::uint64_t evalCount = 0;

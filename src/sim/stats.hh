@@ -4,7 +4,7 @@
  *
  * Counters are *interned*: a name is resolved to a dense StatId once
  * (at subsystem construction), and hot paths increment by array index.
- * The name-keyed API (get/dump/all) is kept for tests and reporting;
+ * The name-keyed API (get/all) is kept for tests and reporting;
  * only registration pays the string lookup.
  */
 

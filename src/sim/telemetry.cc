@@ -229,10 +229,10 @@ appendTraceSection(std::vector<std::uint8_t> &out, const Tracer &tracer,
 
     // Compact local name table: ids in first-appearance order within
     // the tail (deterministic for a given event sequence).
-    std::map<TraceNameId, std::uint16_t> local;
-    std::vector<TraceNameId> order;
+    std::map<TraceName, std::uint16_t> local;
+    std::vector<TraceName> order;
     for (std::size_t i = first; i < all.size(); ++i) {
-        const TraceNameId id = all[i].name;
+        const TraceName id = all[i].name;
         if (local.emplace(id, static_cast<std::uint16_t>(order.size()))
                 .second)
             order.push_back(id);
@@ -241,7 +241,7 @@ appendTraceSection(std::vector<std::uint8_t> &out, const Tracer &tracer,
     putU64(out, tracer.emitted());
     putU64(out, tracer.dropped());
     putU16(out, static_cast<std::uint16_t>(order.size()));
-    for (const TraceNameId id : order)
+    for (const TraceName id : order)
         putString(out, tracer.nameOf(id));
     putU32(out, static_cast<std::uint32_t>(keep));
     for (std::size_t i = first; i < all.size(); ++i) {

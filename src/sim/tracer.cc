@@ -1,6 +1,7 @@
 #include "sim/tracer.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "base/logging.hh"
@@ -38,35 +39,42 @@ spanCatToString(SpanCat cat)
 
 Tracer::Tracer(std::size_t capacity)
 {
-    // Serial 0 is reserved as TraceNameCache's "no owner yet".
-    static std::uint64_t nextSerial = 0;
+    static std::atomic<std::uint64_t> nextSerial = 0;
     serialNum = ++nextSerial;
     fatal_if(capacity == 0, "tracer ring capacity must be positive");
     ring.resize(capacity);
     // Id 0 renders as "?" so an uninitialized name field is visibly
     // wrong instead of aliasing a real event name.
     names.push_back("?");
+    // The constant names, in TraceName order; a repeated string would
+    // shift every later id off its enumerator.
+#define ELISA_EVENT_NAME_INTERN(id, text) intern(text);
+    ELISA_EVENT_NAMES(ELISA_EVENT_NAME_INTERN)
+#undef ELISA_EVENT_NAME_INTERN
+    panic_if(names.size() != static_cast<std::size_t>(TraceName::Count),
+             "duplicate string in ELISA_EVENT_NAMES");
 }
 
-TraceNameId
+TraceName
 Tracer::intern(std::string_view name)
 {
     auto it = index.find(name);
     if (it != index.end())
         return it->second;
-    fatal_if(names.size() > std::numeric_limits<TraceNameId>::max(),
+    fatal_if(names.size() > std::numeric_limits<std::uint16_t>::max(),
              "trace name table overflow");
-    const auto id = static_cast<TraceNameId>(names.size());
+    const auto id = static_cast<TraceName>(names.size());
     names.emplace_back(name);
     index.emplace(std::string(name), id);
     return id;
 }
 
 const std::string &
-Tracer::nameOf(TraceNameId id) const
+Tracer::nameOf(TraceName id) const
 {
-    panic_if(id >= names.size(), "bad trace name id %u", id);
-    return names[id];
+    const auto slot = static_cast<std::size_t>(id);
+    panic_if(slot >= names.size(), "bad trace name id %zu", slot);
+    return names[slot];
 }
 
 std::vector<TraceEvent>
@@ -160,12 +168,12 @@ std::string
 Tracer::latencyReport() const
 {
     // Key: (category, name id) -> histogram of span durations.
-    std::map<std::pair<unsigned, TraceNameId>, Histogram> spans;
+    std::map<std::pair<unsigned, TraceName>, Histogram> spans;
     // Open synchronous spans, one LIFO stack per (track, name).
-    std::map<std::pair<std::uint32_t, TraceNameId>, std::vector<SimNs>>
+    std::map<std::pair<std::uint32_t, TraceName>, std::vector<SimNs>>
         open;
     // Open async spans by (flowId, name).
-    std::map<std::pair<std::uint64_t, TraceNameId>, SimNs> openAsync;
+    std::map<std::pair<std::uint64_t, TraceName>, SimNs> openAsync;
     std::uint64_t unmatched = 0;
 
     for (const TraceEvent &ev : snapshot()) {

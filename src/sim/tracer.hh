@@ -11,11 +11,12 @@
  *
  * Cost discipline (mirrors sim::FaultPlan): subsystems hold a nullable
  * Tracer pointer; an absent tracer costs one pointer test per trace
- * point and nothing else. Event names are interned once (TraceNameId,
- * dense) so the enabled hot path never hashes strings.
+ * point and nothing else. Event names are dense TraceName ids; the
+ * names src/ emits are constants with the same id in every Tracer, so
+ * the enabled hot path never hashes strings or caches lookups.
  *
- * Determinism: events carry only simulated timestamps and interned
- * ids, never host time, so the same seeded run always produces a
+ * Determinism: events carry only simulated timestamps and name ids,
+ * never host time, so the same seeded run always produces a
  * byte-identical trace — both exporters format with integer math only.
  *
  * Exporters:
@@ -65,8 +66,60 @@ inline constexpr unsigned spanCatCount = 9;
 /** Render a category (exporters / debugging). */
 const char *spanCatToString(SpanCat cat);
 
-/** Dense handle of an interned event name (see Tracer::intern). */
-using TraceNameId = std::uint16_t;
+/**
+ * Every fixed event name the simulator emits, as X(enumerator,
+ * string); hypercall span names are the only ones registered at run
+ * time. One list feeds both TraceName and the name table each Tracer
+ * starts with, so the two cannot drift apart.
+ */
+#define ELISA_EVENT_NAMES(X)                                           \
+    X(Vmfunc, "vmfunc")                                                \
+    X(Vmcall, "vmcall")                                                \
+    X(FaultDrop, "fault_drop")                                         \
+    X(FaultError, "fault_error")                                       \
+    X(FaultDelay, "fault_delay")                                       \
+    X(FaultDuplicate, "fault_duplicate")                               \
+    X(FaultKillVm, "fault_kill_vm")                                    \
+    X(GateCall, "gate_call")                                           \
+    X(GateBatch, "gate_batch")                                         \
+    X(EptpSwitch, "eptp_switch")                                       \
+    X(StackSwap, "stack_swap")                                         \
+    X(Payload, "payload")                                              \
+    X(Return, "return")                                                \
+    X(AttachRequest, "attach_request")                                 \
+    X(Approved, "approved")                                            \
+    X(Denied, "denied")                                                \
+    X(TimedOut, "timed_out")                                           \
+    X(QueryPending, "query_pending")                                   \
+    X(Capability, "capability")                                        \
+    X(CapRedeemed, "cap_redeemed")                                     \
+    X(AttachRetry, "attach_retry")                                     \
+    X(KvsGet, "kvs_get")                                               \
+    X(KvsPut, "kvs_put")                                               \
+    X(KvsRemove, "kvs_remove")                                         \
+    X(KvsCas, "kvs_cas")                                               \
+    X(NetTx, "net_tx")                                                 \
+    X(NetRx, "net_rx")                                                 \
+    X(PageIn, "page_in")                                               \
+    X(ZeroFill, "zero_fill")                                           \
+    X(FaultPageInError, "fault_page_in_error")                         \
+    X(FaultPageInDelay, "fault_page_in_delay")                         \
+    X(SloAlert, "slo_alert")
+
+/**
+ * Dense handle of an event name. The enumerators are the constant
+ * names above and carry the same value in every Tracer; values from
+ * Count on are names one Tracer registered at run time
+ * (Tracer::intern: hypercall span names, names made up in tests).
+ */
+enum class TraceName : std::uint16_t
+{
+    Unknown, ///< renders as "?": an unset name is visibly wrong
+#define ELISA_EVENT_NAME_ENUM(id, text) id,
+    ELISA_EVENT_NAMES(ELISA_EVENT_NAME_ENUM)
+#undef ELISA_EVENT_NAME_ENUM
+    Count ///< first id intern() hands out
+};
 
 /** Event kinds, mapping 1:1 onto Chrome trace_event phases. */
 enum class TracePhase : std::uint8_t
@@ -87,7 +140,7 @@ struct TraceEvent
     std::uint64_t arg1 = 0;    ///< event-specific annotation
     std::uint64_t flowId = 0;  ///< async link id (e.g. RequestId)
     std::uint32_t track = 0;   ///< actor lane (by convention vCPU id)
-    TraceNameId name = 0;      ///< interned event name
+    TraceName name = TraceName::Unknown; ///< event name
     SpanCat cat = SpanCat::Cpu;
     TracePhase phase = TracePhase::Instant;
 };
@@ -104,39 +157,40 @@ class Tracer
     explicit Tracer(std::size_t capacity = 1u << 16);
 
     /**
-     * Resolve @p name to its dense id, registering it when new. The
-     * only string-keyed operation — call once per site, never per
-     * event (see TraceNameCache).
+     * Resolve @p name to its id, registering it when new; a constant
+     * name resolves to its TraceName enumerator. The only
+     * string-keyed operation: for names known only at run time, once
+     * per site, never per event.
      */
-    TraceNameId intern(std::string_view name);
+    TraceName intern(std::string_view name);
 
-    /** The string a TraceNameId stands for. */
-    const std::string &nameOf(TraceNameId id) const;
+    /** The string a TraceName stands for. */
+    const std::string &nameOf(TraceName id) const;
 
     // ---- emission (hot path; callers null-check the Tracer*) -------
     void
-    begin(SpanCat cat, TraceNameId name, std::uint32_t track, SimNs ts,
+    begin(SpanCat cat, TraceName name, std::uint32_t track, SimNs ts,
           std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
         push({ts, a0, a1, 0, track, name, cat, TracePhase::Begin});
     }
 
     void
-    end(SpanCat cat, TraceNameId name, std::uint32_t track, SimNs ts,
+    end(SpanCat cat, TraceName name, std::uint32_t track, SimNs ts,
         std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
         push({ts, a0, a1, 0, track, name, cat, TracePhase::End});
     }
 
     void
-    instant(SpanCat cat, TraceNameId name, std::uint32_t track,
+    instant(SpanCat cat, TraceName name, std::uint32_t track,
             SimNs ts, std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
         push({ts, a0, a1, 0, track, name, cat, TracePhase::Instant});
     }
 
     void
-    asyncBegin(SpanCat cat, TraceNameId name, std::uint64_t flow,
+    asyncBegin(SpanCat cat, TraceName name, std::uint64_t flow,
                std::uint32_t track, SimNs ts, std::uint64_t a0 = 0,
                std::uint64_t a1 = 0)
     {
@@ -145,7 +199,7 @@ class Tracer
     }
 
     void
-    asyncInstant(SpanCat cat, TraceNameId name, std::uint64_t flow,
+    asyncInstant(SpanCat cat, TraceName name, std::uint64_t flow,
                  std::uint32_t track, SimNs ts, std::uint64_t a0 = 0,
                  std::uint64_t a1 = 0)
     {
@@ -154,7 +208,7 @@ class Tracer
     }
 
     void
-    asyncEnd(SpanCat cat, TraceNameId name, std::uint64_t flow,
+    asyncEnd(SpanCat cat, TraceName name, std::uint64_t flow,
              std::uint32_t track, SimNs ts, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0)
     {
@@ -175,10 +229,10 @@ class Tracer
     std::uint64_t dropped() const { return total - held; }
 
     /**
-     * Process-unique id of this Tracer instance. Name caches key on
+     * Process-unique id of this Tracer instance. Readers that follow
+     * the event stream across calls (FlightRecorder::observe) key on
      * it instead of the object address, which a successor Tracer may
-     * reuse (stack/heap recycling) while holding none of the names
-     * the cache resolved against the original.
+     * reuse while holding none of its predecessor's events.
      */
     std::uint64_t serial() const { return serialNum; }
 
@@ -221,37 +275,8 @@ class Tracer
     std::size_t held = 0;
     std::uint64_t total = 0;
     std::uint64_t serialNum;
-    std::map<std::string, TraceNameId, std::less<>> index;
+    std::map<std::string, TraceName, std::less<>> index;
     std::vector<std::string> names;
-};
-
-/**
- * Per-site cache of one interned name. Instrumented objects that may
- * be constructed before a Tracer is installed hold one of these; the
- * first emission against a given Tracer pays the intern, subsequent
- * ones are a pointer compare.
- */
-class TraceNameCache
-{
-  public:
-    explicit TraceNameCache(const char *name) : text(name) {}
-
-    TraceNameId
-    get(Tracer &tracer)
-    {
-        // Keyed by serial, not address: a fresh Tracer can reuse a
-        // dead one's address while interning none of its names.
-        if (owner != tracer.serial()) {
-            id = tracer.intern(text);
-            owner = tracer.serial();
-        }
-        return id;
-    }
-
-  private:
-    const char *text;
-    std::uint64_t owner = 0; ///< serial() of the interning Tracer
-    TraceNameId id = 0;
 };
 
 /**
@@ -263,7 +288,7 @@ class TraceNameCache
 class ScopedSpan
 {
   public:
-    ScopedSpan(Tracer *tracer, SpanCat cat, TraceNameId name,
+    ScopedSpan(Tracer *tracer, SpanCat cat, TraceName name,
                std::uint32_t track, const SimClock &clock,
                std::uint64_t a0 = 0, std::uint64_t a1 = 0)
         : tr(tracer), clk(&clock), spanCat(cat), spanName(name),
@@ -295,7 +320,7 @@ class ScopedSpan
     Tracer *tr;
     const SimClock *clk;
     SpanCat spanCat;
-    TraceNameId spanName;
+    TraceName spanName;
     std::uint32_t spanTrack;
     std::uint64_t endArg0 = 0;
     std::uint64_t endArg1 = 0;

@@ -8,7 +8,6 @@
 #include "base/bitops.hh"
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "base/trace.hh"
 #include "base/types.hh"
 #include "base/units.hh"
 
@@ -132,34 +131,6 @@ TEST(Strutil, RenderCsvQuotesSpecialCells)
     EXPECT_NE(csv.find("plain,1\n"), std::string::npos);
     EXPECT_NE(csv.find("\"with,comma\",2\n"), std::string::npos);
     EXPECT_NE(csv.find("\"with\"\"quote\",3\n"), std::string::npos);
-}
-
-TEST(Trace, OverrideControlsCategories)
-{
-    traceOverride(static_cast<std::uint32_t>(TraceCat::Elisa) |
-                  static_cast<std::uint32_t>(TraceCat::Hv));
-    EXPECT_TRUE(traceEnabled(TraceCat::Elisa));
-    EXPECT_TRUE(traceEnabled(TraceCat::Hv));
-    EXPECT_FALSE(traceEnabled(TraceCat::Net));
-    EXPECT_FALSE(traceEnabled(TraceCat::VmExit));
-
-    traceOverride(static_cast<std::uint32_t>(TraceCat::All));
-    EXPECT_TRUE(traceEnabled(TraceCat::Net));
-
-    traceOverride(0);
-    EXPECT_FALSE(traceEnabled(TraceCat::Elisa));
-}
-
-TEST(Trace, MacroEvaluatesLazily)
-{
-    traceOverride(0);
-    int evaluations = 0;
-    auto expensive = [&evaluations] {
-        ++evaluations;
-        return 1;
-    };
-    ELISA_TRACE(Elisa, "value %d", expensive());
-    EXPECT_EQ(evaluations, 0); // disabled category: not evaluated
 }
 
 TEST(Logging, FormatProducesPrintfSemantics)

@@ -987,7 +987,9 @@ TEST_F(FaultTest, AttachWithRetrySurvivesDroppedHypercalls)
 TEST_F(FaultTest, AttachWithRetryGivesUpOnDeadManager)
 {
     ASSERT_TRUE(manager.exportObject(ExportKey("kv"), 4 * KiB, constFns()));
-    plan.killVmAt(nr(ElisaHc::AttachRequest), managerVm.id());
+    // Captured up front: the kill destroys managerVm.
+    const VmId manager_id = managerVm.id();
+    plan.killVmAt(nr(ElisaHc::AttachRequest), manager_id);
     hv.setFaultPlan(&plan);
 
     // The manager dies while the request hypercall is in flight: the
@@ -998,7 +1000,7 @@ TEST_F(FaultTest, AttachWithRetryGivesUpOnDeadManager)
     // The export was auto-revoked with its manager, so the bounded
     // loop ends on a non-Attached status with the reason filled in.
     EXPECT_FALSE(failed.reason().empty());
-    EXPECT_FALSE(hv.hasVm(managerVm.id()));
+    EXPECT_FALSE(hv.hasVm(manager_id));
     EXPECT_EQ(svc.requestCount(), 0u);
 }
 

@@ -7,18 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "base/units.hh"
-#include "elisa/gate.hh"
-#include "elisa/guest_api.hh"
-#include "elisa/manager.hh"
-#include "hv/hypervisor.hh"
 #include "sim/engine.hh"
 #include "sim/exit_ledger.hh"
 #include "sim/metrics.hh"
@@ -28,7 +20,6 @@ namespace
 {
 
 using namespace elisa;
-using namespace elisa::core;
 using namespace elisa::sim;
 
 // ===================================================================
@@ -285,22 +276,6 @@ TEST(ExitLedger, ClearKeepsRowsAndNames)
     EXPECT_EQ(led.codeName(CostKind::Hypercall, 0), "hc_nop");
 }
 
-TEST(ExitLedger, SlotCacheReResolvesAcrossLedgers)
-{
-    ExitLedger first, second;
-    LedgerSlotCache cache;
-    const LedgerSlot a = cache.get(first, 1, 2, CostKind::Exit, 0);
-    first.charge(a, 10);
-    // A different ledger instance (different serial): the cache must
-    // re-resolve instead of reusing the stale slot.
-    const LedgerSlot b = cache.get(second, 1, 2, CostKind::Exit, 0);
-    second.charge(b, 20);
-    EXPECT_EQ(first.totalNs(), 10u);
-    EXPECT_EQ(second.totalNs(), 20u);
-    // Same ledger again: cached (and still correct).
-    EXPECT_EQ(cache.get(second, 1, 2, CostKind::Exit, 0), b);
-}
-
 // ===================================================================
 // Engine periodic sampler.
 // ===================================================================
@@ -386,101 +361,6 @@ TEST(EngineSampler, SamplesMetricsConsistently)
     // exceed the final value.
     EXPECT_NE(sampler.csv().find("sim_ns,ops\n"), std::string::npos);
     EXPECT_EQ(metrics.counterValue(ops), 16u);
-}
-
-// ===================================================================
-// The overhead budget: the ledger compiled in but not installed must
-// cost BM_GateCall at most 2%. Like the tracer, Gate::call() splits
-// on a template parameter at dispatch, so the disabled cost is one
-// pointer test per call — we replicate it 4x per iteration to
-// overstate. Measured in wall-clock time; grep-able line for CI.
-// ===================================================================
-
-TEST(MetricsOverhead, DisabledLedgerWithinBudget)
-{
-    hv::Hypervisor hv(256 * MiB);
-    ElisaService svc(hv);
-    hv::Vm &managerVm = hv.createVm("manager", 16 * MiB);
-    hv::Vm &guestVm = hv.createVm("guest", 16 * MiB);
-    ElisaManager manager(managerVm, svc);
-    ElisaGuest guest(guestVm, svc);
-
-    SharedFnTable fns;
-    fns.push_back([](SubCallCtx &) { return std::uint64_t{42}; });
-    ASSERT_TRUE(manager.exportObject(ExportKey("obj"), 4 * KiB, std::move(fns)));
-
-    // Ledger OFF — the shipped default (setLedger was never called).
-    Gate gate = guest.tryAttach(ExportKey("obj"), manager).take();
-    gate.call(0); // warm
-
-    using clock = std::chrono::steady_clock;
-    constexpr int rounds = 5;
-    constexpr std::uint64_t calls = 200000;
-
-    // Disabled-ledger gate call, best-of-rounds (noise-robust).
-    double call_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        const auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < calls; ++i)
-            gate.call(0);
-        const auto dt = std::chrono::duration<double, std::nano>(
-                            clock::now() - t0)
-                            .count();
-        call_ns = std::min(call_ns, dt / (double)calls);
-    }
-
-    // The disabled hook primitive: one pointer load + never-taken
-    // branch at the Gate::call dispatch. Measured as the delta
-    // between two identical loops, the hooked one carrying 4
-    // replicas per iteration (4x the real per-call count — the
-    // template split leaves exactly one). The opaque call keeps the
-    // loads from being hoisted, which overstates the real cost.
-    struct Host
-    {
-        sim::ExitLedger *led = nullptr;
-    } host;
-    auto opaque = [](Host *h) {
-        asm volatile("" : : "r"(h) : "memory");
-    };
-    constexpr std::uint64_t iters = 2000000;
-    constexpr unsigned hooksPerCall = 4;
-    std::uint64_t sink = 0;
-
-    double base_ns = 1e9, hooked_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            opaque(&host);
-        const auto base = std::chrono::duration<double, std::nano>(
-                              clock::now() - t0)
-                              .count();
-        base_ns = std::min(base_ns, base / (double)iters);
-
-        t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            opaque(&host);
-            for (unsigned h = 0; h < hooksPerCall; ++h) {
-                if (host.led != nullptr)
-                    ++sink;
-            }
-        }
-        const auto hooked = std::chrono::duration<double, std::nano>(
-                                clock::now() - t0)
-                                .count();
-        hooked_ns = std::min(hooked_ns, hooked / (double)iters);
-    }
-    asm volatile("" : : "r"(sink));
-
-    const double hook_cost =
-        hooked_ns > base_ns ? hooked_ns - base_ns : 0.0;
-    const double overhead_pct = hook_cost / call_ns * 100.0;
-
-    // Grep-able by the CI workflow.
-    std::printf("[metrics-overhead] gate_call=%.1fns "
-                "disabled_hooks=%u hook_cost=%.2fns overhead=%.2f%% "
-                "budget=2%%\n",
-                call_ns, hooksPerCall, hook_cost, overhead_pct);
-    EXPECT_LE(overhead_pct, 2.0);
 }
 
 } // anonymous namespace

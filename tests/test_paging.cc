@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
 #include "elisa/gate.hh"
@@ -17,6 +19,7 @@
 #include "hv/paging.hh"
 #include "sim/exit_ledger.hh"
 #include "sim/fault.hh"
+#include "sim/tracer.hh"
 
 namespace
 {
@@ -159,6 +162,29 @@ TEST_F(PagingTest, L0MicroCacheStaleAcrossReclaimRefaults)
     EXPECT_EQ(hv.stats().get("pager_faults"), faults + 1);
     EXPECT_EQ(pager.frameState(vm.ramGpaToHpa(pageSize)),
               hv::Pager::FrameState::Swapped);
+}
+
+TEST_F(PagingTest, SuccessorTracerInTheSameStorageGetsValidNames)
+{
+    hv::Pager &pager = hv.enablePaging({0, 64});
+    hv::Vm &vm = hv.createVm("g", 2 * MiB);
+    pager.manageVmRam(vm, true);
+    cpu::GuestView view(vm.vcpu(0));
+
+    sim::Tracer tracer;
+    hv.setTracer(&tracer);
+    view.read<std::uint64_t>(0); // zero-fill under the first tracer
+
+    // A new tracer at the old one's address: every page event it
+    // records must name an entry of its own table.
+    tracer = sim::Tracer();
+    hv.setTracer(&tracer);
+    view.read<std::uint64_t>(pageSize);
+    hv.setTracer(nullptr);
+
+    const std::string json = tracer.chromeJson();
+    EXPECT_NE(json.find("\"name\":\"zero_fill\",\"cat\":\"page\""),
+              std::string::npos);
 }
 
 TEST_F(PagingTest, ResidentLimitHoldsUnderThrash)

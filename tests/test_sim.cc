@@ -614,29 +614,6 @@ TEST(CostModel, PaperHeadlineCalibration)
     EXPECT_NEAR(ratio, 3.5, 0.08); // paper: "3.5 times smaller"
 }
 
-TEST(CostModel, FromEnvOverrides)
-{
-    ::setenv("ELISA_COST_VMFUNC_NS", "50", 1);
-    ::setenv("ELISA_COST_GATE_NS", "20", 1);
-    ::setenv("ELISA_COST_NIC_GBPS", "100", 1);
-    CostModel cost = CostModel::fromEnv();
-    EXPECT_EQ(cost.vmfuncNs, 50u);
-    EXPECT_EQ(cost.gateCodeNs, 20u);
-    EXPECT_EQ(cost.elisaRttNs(), 4 * 50u + 2 * 20u);
-    EXPECT_DOUBLE_EQ(cost.nicLineRateBps, 100e9);
-    // Untouched fields keep their defaults.
-    EXPECT_EQ(cost.vmexitNs, CostModel{}.vmexitNs);
-
-    // Malformed values are ignored, not fatal.
-    ::setenv("ELISA_COST_VMFUNC_NS", "fast", 1);
-    EXPECT_EQ(CostModel::fromEnv().vmfuncNs, CostModel{}.vmfuncNs);
-
-    ::unsetenv("ELISA_COST_VMFUNC_NS");
-    ::unsetenv("ELISA_COST_GATE_NS");
-    ::unsetenv("ELISA_COST_NIC_GBPS");
-    EXPECT_EQ(CostModel::fromEnv().vmfuncNs, CostModel{}.vmfuncNs);
-}
-
 TEST(CostModel, WireTime)
 {
     CostModel cost;

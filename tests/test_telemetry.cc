@@ -5,15 +5,13 @@
  * section skipping), the publisher's seqlock region protocol and
  * overflow policy, the monitor guest's three scrape schemes and their
  * byte-identity with the host-side export, the per-VM flight
- * recorder's ring/dump mechanics, the SLO watchdog's burn-rate rules,
- * and the disabled-telemetry overhead budget.
+ * recorder's ring/dump mechanics and the SLO watchdog's burn-rate
+ * rules.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -792,99 +790,6 @@ TEST(SloWatchdog, HistogramP99Rule)
         m.observe(h, 10000);
     EXPECT_EQ(dog.evaluate(snapOf({&m}, 2, 2000)), 1u);
     EXPECT_GT(dog.alerts()[0].value, 500.0);
-}
-
-// ===================================================================
-// The overhead budget: the telemetry plane compiled in but not
-// installed must cost BM_GateCall at most 2%. The gate hot path
-// gained zero telemetry hooks — publication is pull-based at sampler
-// boundaries — and the cold fault/teardown paths gained one nullable
-// pointer test each. We measure the disabled-hook primitive anyway
-// (two replicas: the kill-site recorder check and the
-// publish-boundary check) and print a grep-able line for CI.
-// ===================================================================
-
-TEST(TelemetryOverhead, DisabledTelemetryWithinBudget)
-{
-    hv::Hypervisor hv(256 * MiB);
-    ElisaService svc(hv);
-    hv::Vm &mgrVm = hv.createVm("manager", 16 * MiB);
-    hv::Vm &gstVm = hv.createVm("guest", 16 * MiB);
-    ElisaManager mgr(mgrVm, svc);
-    ElisaGuest gst(gstVm, svc);
-    SharedFnTable fns;
-    fns.push_back([](SubCallCtx &) { return std::uint64_t{0}; });
-    ASSERT_TRUE(
-        mgr.exportObject(ExportKey("obj"), 4 * KiB, std::move(fns)));
-    Gate gate = gst.tryAttach(ExportKey("obj"), mgr).take();
-    gate.call(0); // warm
-
-    // No publisher, no flight recorder, no watchdog: the shipped
-    // default. Best-of-rounds gate-call cost.
-    using clock = std::chrono::steady_clock;
-    constexpr int rounds = 5;
-    constexpr std::uint64_t calls = 200000;
-    double call_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        const auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < calls; ++i)
-            gate.call(0);
-        const auto dt = std::chrono::duration<double, std::nano>(
-                            clock::now() - t0)
-                            .count();
-        call_ns = std::min(call_ns, dt / (double)calls);
-    }
-
-    // The disabled hook primitive — a pointer load plus a never-taken
-    // branch — measured as the delta between two identical opaque
-    // loops. Two replicas bound the telemetry plane's worst case per
-    // event (and the real hooks sit on cold paths, not per call).
-    struct Host
-    {
-        sim::FlightRecorder *rec = nullptr;
-    } host;
-    const auto opaque = [](Host *h) {
-        asm volatile("" : : "r"(h) : "memory");
-    };
-    constexpr std::uint64_t iters = 2000000;
-    constexpr unsigned hooksPerCall = 2;
-    std::uint64_t sink = 0;
-
-    double base_ns = 1e9, hooked_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            opaque(&host);
-        const auto base = std::chrono::duration<double, std::nano>(
-                              clock::now() - t0)
-                              .count();
-        base_ns = std::min(base_ns, base / (double)iters);
-
-        t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            opaque(&host);
-            for (unsigned h = 0; h < hooksPerCall; ++h) {
-                if (host.rec != nullptr)
-                    ++sink;
-            }
-        }
-        const auto hooked = std::chrono::duration<double, std::nano>(
-                                clock::now() - t0)
-                                .count();
-        hooked_ns = std::min(hooked_ns, hooked / (double)iters);
-    }
-    asm volatile("" : : "r"(sink));
-
-    const double hook_cost =
-        hooked_ns > base_ns ? hooked_ns - base_ns : 0.0;
-    const double overhead_pct = hook_cost / call_ns * 100.0;
-
-    // Grep-able by the CI workflow.
-    std::printf("[telemetry-overhead] gate_call=%.1fns "
-                "disabled_hooks=%u hook_cost=%.2fns overhead=%.2f%% "
-                "budget=2%%\n",
-                call_ns, hooksPerCall, hook_cost, overhead_pct);
-    EXPECT_LE(overhead_pct, 2.0);
 }
 
 } // anonymous namespace

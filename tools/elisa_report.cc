@@ -128,7 +128,7 @@ ledgerHypernfSection()
 {
     std::printf("--- ledger: HyperNF exit-cost share ---------------"
                 "-----------\n");
-    sim::CostModel heavy = sim::CostModel::fromEnv();
+    sim::CostModel heavy;
     heavy.netPerPacketNs += 615; // NF chain processing per packet
     Testbed bed(1536 * MiB, heavy);
     sim::ExitLedger ledger;
@@ -220,7 +220,7 @@ ledgerPagingSection()
 
     std::printf("%s\n", ledger.report().c_str());
 
-    const sim::CostModel model = sim::CostModel::fromEnv();
+    const sim::CostModel &model = bed.hv.cost();
     double exit_mean = 0.0;
     double pagein_mean = 0.0;
     for (const auto &row : ledger.rows()) {
