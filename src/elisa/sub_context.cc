@@ -21,7 +21,6 @@ Export::Export(hv::Hypervisor &hv, ExportId id, std::string name,
     auto code = hv.allocator().alloc();
     fatal_if(!code, "out of memory for gate code page");
     gateCode = *code;
-    hv.memory().zero(gateCode, pageSize);
     // Stamp a recognizable trampoline signature so tests can verify
     // which page the fetch check hits.
     const std::uint64_t signature = 0x454c49534147ull; // "GATESILE"
@@ -66,12 +65,10 @@ Attachment::Attachment(hv::Hypervisor &hv, AttachmentId id, Export &exp_,
     auto stack = allocator.alloc(stackBytes / pageSize);
     fatal_if(!stack, "out of memory for gate stack");
     stackHpa = *stack;
-    hv.memory().zero(stackHpa, stackBytes);
 
     auto exch = allocator.alloc(exchBytes / pageSize);
     fatal_if(!exch, "out of memory for exchange buffer");
     exchHpa = *exch;
-    hv.memory().zero(exchHpa, exchBytes);
 
     // Gate context: trampoline (X), stack (RW), exchange (RW).
     gateContext = std::make_unique<ept::Ept>(hv.memory(), allocator);

@@ -113,6 +113,9 @@ Ept::Ept(mem::HostMemory &memory, mem::FrameAllocator &allocator)
     auto frame = alloc.alloc();
     fatal_if(!frame, "out of physical memory allocating EPT root");
     root = *frame;
+    // The frame is already zero. Writing it faults the host page in
+    // once; a first read would map the host's shared zero page and
+    // fault again on the first write.
     mem.zero(root, pageSize);
     tableCount = 1;
 }
@@ -165,6 +168,7 @@ Ept::walkToLeaf(Gpa gpa, bool allocate, unsigned stop_level)
             auto frame = alloc.alloc();
             if (!frame)
                 return std::nullopt;
+            // Already zero; written for the same reason as the root.
             mem.zero(*frame, pageSize);
             ++tableCount;
             // Intermediate entries carry full permissions; access

@@ -11,7 +11,6 @@ EptpList::EptpList(mem::HostMemory &memory, mem::FrameAllocator &allocator)
     auto frame = alloc.alloc();
     fatal_if(!frame, "out of physical memory allocating EPTP list");
     page = *frame;
-    mem.zero(page, pageSize);
 }
 
 EptpList::~EptpList()

@@ -12,7 +12,7 @@ namespace elisa::hv
 Hypervisor::Hypervisor(std::uint64_t phys_mem_bytes,
                        const sim::CostModel &cost)
     : costModel(cost), physMem(phys_mem_bytes),
-      frames(phys_mem_bytes / pageSize)
+      frames(physMem)
 {
     // Intern hot/fault-path counter names once; per-event code indexes
     // by id instead of hashing strings.

@@ -16,7 +16,6 @@ IvshmemRegion::IvshmemRegion(Hypervisor &hv, std::string name,
     fatal_if(!base, "out of physical memory for ivshmem region '%s'",
              regionName.c_str());
     hpaBase = *base;
-    hv.memory().zero(hpaBase, bytes);
 }
 
 IvshmemRegion::~IvshmemRegion()

@@ -23,7 +23,6 @@ Vm::Vm(Hypervisor &hv, VmId id, std::string name, std::uint64_t ram_bytes,
     fatal_if(!base, "out of physical memory for VM '%s' RAM",
              vmName.c_str());
     ramBase = *base;
-    hv.physMem.zero(ramBase, ram_bytes);
 
     defaultContext = std::make_unique<ept::Ept>(hv.physMem, hv.frames);
     const bool mapped = defaultContext->mapRange(

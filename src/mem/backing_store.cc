@@ -1,17 +1,26 @@
 #include "mem/backing_store.hh"
 
-#include <cstring>
-
 #include "base/logging.hh"
 
 namespace elisa::mem
 {
 
-BackingStore::BackingStore(std::uint64_t slot_count)
-    : totalSlots(slot_count), used(slot_count, false),
-      data(slot_count * pageSize, 0)
+namespace
+{
+
+std::uint64_t
+deviceBytes(std::uint64_t slot_count)
 {
     fatal_if(slot_count == 0, "empty backing store");
+    return slot_count * pageSize;
+}
+
+} // anonymous namespace
+
+BackingStore::BackingStore(std::uint64_t slot_count)
+    : totalSlots(slot_count), used(slot_count, false),
+      data(deviceBytes(slot_count))
+{
 }
 
 std::optional<std::uint64_t>
@@ -42,7 +51,7 @@ BackingStore::free(std::uint64_t slot)
     used[slot] = false;
     --allocatedSlots;
     // Scrub so a buggy read of a freed slot cannot leak stale bytes.
-    std::memset(data.data() + slot * pageSize, 0, pageSize);
+    data.zero(slot * pageSize, pageSize);
 }
 
 void
@@ -51,7 +60,7 @@ BackingStore::write(std::uint64_t slot, const std::uint8_t *src)
     panic_if(slot >= totalSlots || !used[slot],
              "write to unallocated backing-store slot %llu",
              (unsigned long long)slot);
-    std::memcpy(data.data() + slot * pageSize, src, pageSize);
+    data.write(slot * pageSize, src, pageSize);
 }
 
 void
@@ -60,7 +69,7 @@ BackingStore::read(std::uint64_t slot, std::uint8_t *dst) const
     panic_if(slot >= totalSlots || !used[slot],
              "read from unallocated backing-store slot %llu",
              (unsigned long long)slot);
-    std::memcpy(dst, data.data() + slot * pageSize, pageSize);
+    data.read(slot * pageSize, dst, pageSize);
 }
 
 bool

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "mem/host_memory.hh"
 
 namespace elisa::mem
 {
@@ -70,7 +71,8 @@ class BackingStore
     std::uint64_t allocatedSlots = 0;
     std::uint64_t searchHint = 0;
     std::vector<bool> used;
-    std::vector<std::uint8_t> data;
+    /** Slot bytes; slots never written stay unbacked on the host. */
+    HostMemory data;
 };
 
 } // namespace elisa::mem

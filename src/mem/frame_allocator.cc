@@ -5,10 +5,33 @@
 namespace elisa::mem
 {
 
-FrameAllocator::FrameAllocator(std::uint64_t frame_count)
-    : totalFrames(frame_count), used(frame_count, false)
+FrameAllocator::FrameAllocator(HostMemory &memory)
+    : mem(memory), totalFrames(memory.frameCount()),
+      used(totalFrames, false), handedOutBefore(totalFrames, false)
 {
-    fatal_if(frame_count == 0, "frame allocator needs at least 1 frame");
+}
+
+void
+FrameAllocator::handOut(std::uint64_t first, std::uint64_t count)
+{
+    // Zero each run of reused frames with one call, since one large
+    // memset is cheaper than one per frame. [reused, i) is the run
+    // pending at frame i.
+    std::uint64_t reused = first;
+    const auto zero_reused = [this, &reused](std::uint64_t end) {
+        if (end > reused)
+            mem.zero(reused * pageSize, (end - reused) * pageSize);
+    };
+    for (std::uint64_t i = first; i < first + count; ++i) {
+        used[i] = true;
+        if (!handedOutBefore[i]) {
+            zero_reused(i);
+            reused = i + 1;
+            handedOutBefore[i] = true;
+        }
+    }
+    zero_reused(first + count);
+    allocatedFrames += count;
 }
 
 std::optional<Hpa>
@@ -39,9 +62,7 @@ FrameAllocator::alloc(std::uint64_t count)
     if (!base)
         return std::nullopt;
 
-    for (std::uint64_t i = *base; i < *base + count; ++i)
-        used[i] = true;
-    allocatedFrames += count;
+    handOut(*base, count);
     searchHint = *base + count;
     if (searchHint >= totalFrames)
         searchHint = 0;
@@ -68,9 +89,7 @@ FrameAllocator::allocAligned(std::uint64_t count,
         }
         if (!fits)
             continue;
-        for (std::uint64_t i = base; i < base + count; ++i)
-            used[i] = true;
-        allocatedFrames += count;
+        handOut(base, count);
         return base * pageSize;
     }
     return std::nullopt;

@@ -6,6 +6,11 @@
  * allocation. The hypervisor uses it for guest memory, EPT tables,
  * EPTP-list pages, NIC rings, and shared regions.
  *
+ * Every frame it hands out reads as zero, so no caller zeroes a fresh
+ * frame. A frame never handed out is an untouched page of the
+ * HostMemory mapping; a frame handed out before is zeroed when it is
+ * handed out again. Frees do no byte work.
+ *
  * The allocator additionally keeps the machine's memory-occupancy
  * book for demand paging: per-owner (per-VM) resident/swapped frame
  * counts and balloon targets, updated by the hv::Pager and exported
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "mem/host_memory.hh"
 #include "sim/metrics.hh"
 
 namespace elisa::mem
@@ -34,18 +40,19 @@ namespace elisa::mem
 class FrameAllocator
 {
   public:
-    /** Manage @p frame_count frames starting at HPA 0. */
-    explicit FrameAllocator(std::uint64_t frame_count);
+    /** Manage every frame of @p memory, which must be all zero. */
+    explicit FrameAllocator(HostMemory &memory);
 
     /**
-     * Allocate @p count physically contiguous frames.
+     * Allocate @p count physically contiguous, zeroed frames.
      * @return base HPA of the run, or std::nullopt when no run fits.
      */
     std::optional<Hpa> alloc(std::uint64_t count = 1);
 
     /**
-     * Allocate @p count contiguous frames whose base frame index is a
-     * multiple of @p align_frames (e.g. 512 for a 2 MiB-aligned base).
+     * Allocate @p count contiguous, zeroed frames whose base frame
+     * index is a multiple of @p align_frames (e.g. 512 for a 2 MiB-
+     * aligned base).
      * @return base HPA, or std::nullopt when no such run fits.
      */
     std::optional<Hpa> allocAligned(std::uint64_t count,
@@ -142,16 +149,22 @@ class FrameAllocator
     /** Register one owner's gauges (when metrics are attached). */
     void registerOwnerGauges(std::uint32_t owner, OwnerEntry &entry);
 
+    /** Mark [first, first+count) allocated, zeroing reused frames. */
+    void handOut(std::uint64_t first, std::uint64_t count);
+
     sim::Metrics *metricsPtr = nullptr;
     sim::MetricId freeGauge = 0;
     sim::MetricId allocatedGauge = 0;
     std::map<std::uint32_t, OwnerEntry> owners;
 
+    HostMemory &mem;
     std::uint64_t totalFrames;
     std::uint64_t allocatedFrames = 0;
     /** Next frame index to start searching from (rotating first fit). */
     std::uint64_t searchHint = 0;
     std::vector<bool> used;
+    /** Frames handed out at least once: they may hold stale bytes. */
+    std::vector<bool> handedOutBefore;
 };
 
 } // namespace elisa::mem

@@ -3,7 +3,9 @@
  * Simulated host physical memory.
  *
  * The machine's physical address space is one contiguous range starting
- * at HPA 0, backed by a host allocation. Raw access is reserved to
+ * at HPA 0, backed by one anonymous host mapping. Pages the simulation
+ * never writes stay unbacked and read as zero, so a machine costs host
+ * memory in proportion to what it touches. Raw access is reserved to
  * "hardware" and hypervisor code (EPT walker, NIC DMA, host-interposition
  * handlers); guest software must go through cpu::GuestView, which applies
  * the EPT translation and permission checks.
@@ -14,7 +16,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -31,11 +32,13 @@ class HostMemory
     /** Create @p bytes of physical memory (page aligned, zeroed). */
     explicit HostMemory(std::uint64_t bytes);
 
+    ~HostMemory();
+
     HostMemory(const HostMemory &) = delete;
     HostMemory &operator=(const HostMemory &) = delete;
 
     /** Total size in bytes. */
-    std::uint64_t size() const { return data.size(); }
+    std::uint64_t size() const { return length; }
 
     /** Total size in frames. */
     std::uint64_t frameCount() const { return size() / pageSize; }
@@ -58,7 +61,7 @@ class HostMemory
         panic_if(!contains(hpa, len),
                  "HPA range [%llx, +%llx) outside physical memory",
                  (unsigned long long)hpa, (unsigned long long)len);
-        return data.data() + hpa;
+        return data + hpa;
     }
 
     /** Const overload of raw(). */
@@ -68,7 +71,7 @@ class HostMemory
         panic_if(!contains(hpa, len),
                  "HPA range [%llx, +%llx) outside physical memory",
                  (unsigned long long)hpa, (unsigned long long)len);
-        return data.data() + hpa;
+        return data + hpa;
     }
 
     /** Read a little-endian 64-bit word at @p hpa. */
@@ -109,7 +112,8 @@ class HostMemory
     }
 
   private:
-    std::vector<std::uint8_t> data;
+    std::uint8_t *data = nullptr;
+    std::uint64_t length;
 };
 
 } // namespace elisa::mem

@@ -25,7 +25,7 @@ using namespace elisa::ept;
 class EptTest : public ::testing::Test
 {
   protected:
-    EptTest() : memory(32 * MiB), alloc(memory.frameCount()) {}
+    EptTest() : memory(32 * MiB), alloc(memory) {}
 
     mem::HostMemory memory;
     mem::FrameAllocator alloc;
@@ -214,7 +214,7 @@ class EptProperty : public ::testing::TestWithParam<unsigned>
 TEST_P(EptProperty, RandomMappingsRoundTrip)
 {
     mem::HostMemory memory(64 * MiB);
-    mem::FrameAllocator alloc(memory.frameCount());
+    mem::FrameAllocator alloc(memory);
     Ept ept(memory, alloc);
     sim::Rng rng(GetParam());
 

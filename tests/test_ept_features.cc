@@ -25,7 +25,7 @@ using namespace elisa::ept;
 class LargePageTest : public ::testing::Test
 {
   protected:
-    LargePageTest() : memory(64 * MiB), alloc(memory.frameCount()) {}
+    LargePageTest() : memory(64 * MiB), alloc(memory) {}
 
     /** Allocate a 2 MiB-aligned run of 2 MiB. */
     Hpa
@@ -239,7 +239,8 @@ TEST(GuestDirtyTracking, WritesThroughGuestViewAreTracked)
 
 TEST(AlignedAlloc, BaseRespectsAlignment)
 {
-    mem::FrameAllocator alloc(2048);
+    mem::HostMemory memory(2048 * pageSize);
+    mem::FrameAllocator alloc(memory);
     // Misalign the free space deliberately.
     auto pad = alloc.alloc(3);
     ASSERT_TRUE(pad);

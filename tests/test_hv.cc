@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <string>
+#include <vector>
+
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
 #include "hv/doorbell.hh"
@@ -35,6 +41,34 @@ TEST_F(HvTest, CreateAndDestroyVmReleasesFrames)
     hv.destroyVm(id);
     EXPECT_EQ(hv.allocator().allocated(), before);
     EXPECT_EQ(hv.vmCount(), 0u);
+}
+
+TEST(HostResidency, UntouchedRamStaysNonResident)
+{
+    // The standard bench machine: a 128 MiB manager and twelve 32 MiB
+    // guests on 1.5 GiB. Creating them writes EPT tables and EPTP-list
+    // pages only, so nearly all of the machine stays unbacked on the
+    // host. The 10% bound leaves room for transparent huge pages.
+    hv::Hypervisor machine(1536 * MiB);
+    machine.createVm("manager", 128 * MiB);
+    for (int i = 0; i < 12; ++i)
+        machine.createVm("guest" + std::to_string(i), 32 * MiB);
+
+    mem::HostMemory &memory = machine.memory();
+    const std::uintptr_t host_page = sysconf(_SC_PAGESIZE);
+    const auto start = reinterpret_cast<std::uintptr_t>(memory.raw(0));
+    const std::uintptr_t first = start / host_page * host_page;
+    const std::uintptr_t end = start + memory.size();
+    const std::uint64_t pages = (end - first + host_page - 1) / host_page;
+    std::vector<unsigned char> resident(pages);
+    ASSERT_EQ(mincore(reinterpret_cast<void *>(first), end - first,
+                      resident.data()),
+              0);
+    std::uint64_t touched = 0;
+    for (unsigned char page : resident)
+        touched += page & 1;
+    EXPECT_LT(touched, pages / 10)
+        << touched << " of " << pages << " host pages resident";
 }
 
 TEST_F(HvTest, VmIdsAreUnique)

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/units.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
@@ -63,6 +66,25 @@ class IsolationTest : public ::testing::Test
     ElisaGuest victim;
     ElisaGuest attacker;
 };
+
+// ---- Frames passing from a dead VM to the next ---------------------
+
+TEST_F(IsolationTest, SuccessorVmOnADeadVmsFramesReadsZero)
+{
+    constexpr std::uint64_t ram = 16 * MiB;
+    hv::Vm &tenant = hv.createVm("tenant", ram);
+    const Hpa frames = tenant.ramGpaToHpa(0);
+    const std::vector<std::uint8_t> secret(ram, 0xc5);
+    cpu::GuestView(tenant.vcpu(0)).writeBytes(0, secret.data(), ram);
+    hv.destroyVm(tenant.id());
+
+    hv::Vm &successor = hv.createVm("successor", ram);
+    ASSERT_EQ(successor.ramGpaToHpa(0), frames);
+    std::vector<std::uint8_t> seen(ram, 0xff);
+    cpu::GuestView(successor.vcpu(0)).readBytes(0, seen.data(), ram);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
+              static_cast<std::ptrdiff_t>(ram));
+}
 
 // ---- The direct-mapping hazard the paper motivates -----------------
 

@@ -4,6 +4,8 @@
  * allocator.
  */
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -71,7 +73,8 @@ TEST(HostMemory, RawPointerIsStable)
 
 TEST(FrameAllocator, AllocFreeBasics)
 {
-    FrameAllocator a(16);
+    HostMemory memory(16 * pageSize);
+    FrameAllocator a(memory);
     EXPECT_EQ(a.total(), 16u);
     auto f1 = a.alloc();
     ASSERT_TRUE(f1);
@@ -85,7 +88,8 @@ TEST(FrameAllocator, AllocFreeBasics)
 
 TEST(FrameAllocator, ContiguousRuns)
 {
-    FrameAllocator a(16);
+    HostMemory memory(16 * pageSize);
+    FrameAllocator a(memory);
     auto run = a.alloc(8);
     ASSERT_TRUE(run);
     for (unsigned i = 0; i < 8; ++i)
@@ -102,14 +106,16 @@ TEST(FrameAllocator, ContiguousRuns)
 
 TEST(FrameAllocator, ExhaustionReturnsNullopt)
 {
-    FrameAllocator a(4);
+    HostMemory memory(4 * pageSize);
+    FrameAllocator a(memory);
     EXPECT_TRUE(a.alloc(4));
     EXPECT_FALSE(a.alloc(1));
 }
 
 TEST(FrameAllocator, FragmentationHandled)
 {
-    FrameAllocator a(8);
+    HostMemory memory(8 * pageSize);
+    FrameAllocator a(memory);
     auto f0 = a.alloc(2);
     auto f1 = a.alloc(2);
     auto f2 = a.alloc(2);
@@ -123,7 +129,56 @@ TEST(FrameAllocator, FragmentationHandled)
     EXPECT_TRUE(a.alloc(2));
 }
 
-/** Property sweep: random alloc/free never double-allocates. */
+/** Count the zero bytes in @p frames frames starting at @p base. */
+std::uint64_t
+countZeroBytes(const HostMemory &memory, Hpa base, std::uint64_t frames)
+{
+    const std::uint8_t *bytes = memory.raw(base, frames * pageSize);
+    return std::count(bytes, bytes + frames * pageSize, 0);
+}
+
+/** Fill @p frames frames starting at @p base with a non-zero pattern. */
+void
+dirty(HostMemory &memory, Hpa base, std::uint64_t frames)
+{
+    std::memset(memory.raw(base, frames * pageSize), 0xa5,
+                frames * pageSize);
+}
+
+TEST(FrameAllocator, ReusedFramesReadAsZero)
+{
+    HostMemory memory(16 * pageSize);
+    FrameAllocator alloc(memory);
+
+    // alloc(): rotating first fit hands out [0, 8), then [8, 16),
+    // which was never handed out, then wraps back to [0, 8).
+    auto first = alloc.alloc(8);
+    ASSERT_TRUE(first);
+    dirty(memory, *first, 8);
+    alloc.free(*first, 8);
+    auto fresh = alloc.alloc(8);
+    ASSERT_TRUE(fresh);
+    EXPECT_NE(*fresh, *first);
+    EXPECT_EQ(countZeroBytes(memory, *fresh, 8), 8 * pageSize);
+    auto reused = alloc.alloc(8);
+    ASSERT_TRUE(reused);
+    EXPECT_EQ(*reused, *first);
+    EXPECT_EQ(countZeroBytes(memory, *reused, 8), 8 * pageSize);
+    alloc.free(*fresh, 8);
+    alloc.free(*reused, 8);
+
+    // allocAligned(): first fit from frame 0 lands on the same run.
+    auto aligned = alloc.allocAligned(8, 8);
+    ASSERT_TRUE(aligned);
+    dirty(memory, *aligned, 8);
+    alloc.free(*aligned, 8);
+    auto aligned_again = alloc.allocAligned(8, 8);
+    ASSERT_TRUE(aligned_again);
+    EXPECT_EQ(*aligned_again, *aligned);
+    EXPECT_EQ(countZeroBytes(memory, *aligned_again, 8), 8 * pageSize);
+}
+
+/** Property sweep: random alloc/free never double-allocates or leaks. */
 class FrameAllocatorProperty : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -132,7 +187,8 @@ TEST_P(FrameAllocatorProperty, NoOverlapUnderRandomWorkload)
 {
     const unsigned seed = GetParam();
     sim::Rng rng(seed);
-    FrameAllocator alloc(128);
+    HostMemory memory(128 * pageSize);
+    FrameAllocator alloc(memory);
     // Track every frame we believe we own.
     std::set<std::uint64_t> owned;
     std::vector<std::pair<Hpa, std::uint64_t>> live;
@@ -149,6 +205,10 @@ TEST_P(FrameAllocatorProperty, NoOverlapUnderRandomWorkload)
                 ASSERT_TRUE(owned.insert(frame).second)
                     << "frame " << frame << " double-allocated";
             }
+            // Runs mix reused and never-used frames in every order;
+            // each reads as zero, then is dirtied for its next owner.
+            ASSERT_EQ(countZeroBytes(memory, *base, count), count * pageSize);
+            dirty(memory, *base, count);
             live.emplace_back(*base, count);
         } else {
             const std::size_t pick = rng.below(live.size());
@@ -234,7 +294,8 @@ TEST(BackingStore, FreeScrubsTheSlot)
 
 TEST(FrameAllocator, OwnerOccupancyBook)
 {
-    FrameAllocator alloc(256);
+    HostMemory memory(256 * pageSize);
+    FrameAllocator alloc(memory);
     EXPECT_EQ(alloc.ownerUsage(1), nullptr);
 
     alloc.noteOwner(1, "g1", 64);
@@ -261,7 +322,8 @@ TEST(FrameAllocator, OwnerOccupancyBook)
 
 TEST(FrameAllocator, OccupancyGaugesPublishOnSample)
 {
-    FrameAllocator alloc(256);
+    HostMemory memory(256 * pageSize);
+    FrameAllocator alloc(memory);
     sim::Metrics metrics;
     alloc.attachGauges(metrics);
 
@@ -326,7 +388,8 @@ TEST(FrameAllocator, EnginePeriodicSamplerSeesOccupancy)
 {
     // The satellite wiring: attachGauges + Engine::setSampler gives a
     // simulated-time series of the balloon/residency gauges.
-    FrameAllocator alloc(256);
+    HostMemory memory(256 * pageSize);
+    FrameAllocator alloc(memory);
     sim::Metrics metrics;
     alloc.attachGauges(metrics);
     alloc.noteOwner(1, "g1", 64);

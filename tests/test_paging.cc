@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
@@ -138,6 +140,30 @@ TEST_F(PagingTest, SwapRoundTripPreservesContent)
     ASSERT_NE(exit, nullptr);
     EXPECT_EQ(exit->events, hv.stats().get("exit_ept-violation"));
     EXPECT_EQ(exit->ns, exit->events * (cost.vmexitNs + cost.vmentryNs));
+}
+
+TEST_F(PagingTest, SuccessorVmOnPoisonedFramesReadsZero)
+{
+    // The dead VM leaves two resident pages of secret, four swapped-out
+    // pages poisoned by page-out and the rest poisoned at registration.
+    hv::Pager &pager = hv.enablePaging({2, 64});
+    constexpr std::uint64_t ram = 2 * MiB;
+    hv::Vm &tenant = hv.createVm("tenant", ram);
+    pager.manageVmRam(tenant, true);
+    const Hpa frames = tenant.ramGpaToHpa(0);
+    const std::vector<std::uint8_t> secret(pageSize, 0xc5);
+    cpu::GuestView view(tenant.vcpu(0));
+    for (unsigned i = 0; i < 6; ++i)
+        view.writeBytes(i * pageSize, secret.data(), pageSize);
+    ASSERT_EQ(pager.swappedFrames(), 4u);
+    hv.destroyVm(tenant.id());
+
+    hv::Vm &successor = hv.createVm("successor", ram);
+    ASSERT_EQ(successor.ramGpaToHpa(0), frames);
+    std::vector<std::uint8_t> seen(ram, 0xff);
+    cpu::GuestView(successor.vcpu(0)).readBytes(0, seen.data(), ram);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
+              static_cast<std::ptrdiff_t>(ram));
 }
 
 TEST_F(PagingTest, L0MicroCacheStaleAcrossReclaimRefaults)
