@@ -7,7 +7,8 @@ namespace elisa::ept
 {
 
 Tlb::Tlb(std::size_t entry_count)
-    : entries(entry_count), indexMask(entry_count - 1)
+    : entries(entry_count), indexMask(entry_count - 1), ctxGen{1},
+      freeIds{0}
 {
     fatal_if(!isPowerOf2(entry_count),
              "TLB entry count must be a power of two");
@@ -22,43 +23,45 @@ Tlb::attachStats(sim::StatSet &set)
     flushId = set.id("tlb_flush");
 }
 
-std::size_t
-Tlb::indexOf(std::uint64_t eptp, Gpa gpa) const
+std::uint32_t
+Tlb::contextOf(std::uint64_t eptp)
 {
-    // Mix the page number with the EPTP so contexts do not collide on
-    // identical guest addresses (common: all contexts map GPA 0 region).
-    std::uint64_t key = (gpa >> pageShift) ^ (eptp >> pageShift) * 0x9e37ull;
-    return static_cast<std::size_t>(key) & indexMask;
+    for (const Context &c : live) {
+        if (c.eptp == eptp)
+            return c.id;
+    }
+    std::uint32_t id;
+    if (!freeIds.empty()) {
+        id = freeIds.back();
+        freeIds.pop_back();
+    } else {
+        id = static_cast<std::uint32_t>(ctxGen.size());
+        ctxGen.push_back(1);
+    }
+    live.push_back({eptp, id});
+    return id;
 }
 
-std::optional<Translation>
-Tlb::lookup(std::uint64_t eptp, Gpa gpa)
+void
+Tlb::retire(std::uint32_t id)
 {
-    const Gpa page = pageAlignDown(gpa);
-    Entry &e = entries[indexOf(eptp, gpa)];
-    if (e.valid && e.eptp == eptp && e.gpaPage == page) {
-        ++hitCount;
-        if (stats)
-            stats->inc(hitId);
-        return Translation{e.hpaPage | (gpa & pageMask), e.perms};
-    }
-    ++missCount;
-    if (stats)
-        stats->inc(missId);
-    return std::nullopt;
+    ++ctxGen[id];
+    freeIds.push_back(id);
 }
 
 void
 Tlb::fill(std::uint64_t eptp, Gpa gpa, const Translation &xlat,
           bool dirty_known)
 {
+    const std::uint32_t id = contextOf(eptp);
     Entry &e = entries[indexOf(eptp, gpa)];
-    e.valid = true;
-    e.dirtyKnown = dirty_known;
     e.eptp = eptp;
     e.gpaPage = pageAlignDown(gpa);
     e.hpaPage = pageAlignDown(xlat.hpa);
+    e.gen = ctxGen[id];
+    e.ctx = id;
     e.perms = xlat.perms;
+    e.dirtyKnown = dirty_known;
     // The slot may have held another page's translation: L0 copies of
     // the evicted entry must not survive it.
     ++epochCount;
@@ -68,23 +71,23 @@ bool
 Tlb::dirtyKnown(std::uint64_t eptp, Gpa gpa) const
 {
     const Entry &e = entries[indexOf(eptp, gpa)];
-    return e.valid && e.eptp == eptp &&
-           e.gpaPage == pageAlignDown(gpa) && e.dirtyKnown;
+    return matches(e, eptp, gpa) && e.dirtyKnown;
 }
 
 void
 Tlb::setDirtyKnown(std::uint64_t eptp, Gpa gpa)
 {
     Entry &e = entries[indexOf(eptp, gpa)];
-    if (e.valid && e.eptp == eptp && e.gpaPage == pageAlignDown(gpa))
+    if (matches(e, eptp, gpa))
         e.dirtyKnown = true;
 }
 
 void
 Tlb::flushAll()
 {
-    for (auto &e : entries)
-        e.valid = false;
+    for (const Context &c : live)
+        retire(c.id);
+    live.clear();
     ++flushCount;
     ++epochCount;
     if (stats)
@@ -94,9 +97,13 @@ Tlb::flushAll()
 void
 Tlb::flushEptp(std::uint64_t eptp)
 {
-    for (auto &e : entries) {
-        if (e.valid && e.eptp == eptp)
-            e.valid = false;
+    for (Context &c : live) {
+        if (c.eptp == eptp) {
+            retire(c.id);
+            c = live.back();
+            live.pop_back();
+            break;
+        }
     }
     ++flushCount;
     ++epochCount;
@@ -109,7 +116,7 @@ Tlb::validCount() const
 {
     std::size_t count = 0;
     for (const auto &e : entries)
-        count += e.valid ? 1 : 0;
+        count += e.gen == ctxGen[e.ctx] ? 1 : 0;
     return count;
 }
 

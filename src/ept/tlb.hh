@@ -9,6 +9,17 @@
  * operations require an explicit INVEPT-equivalent flush from the
  * hypervisor.
  *
+ * INVEPT invalidates by generation, not by scan. Each EPTP filled since
+ * its last flush owns a *context*: a small id with a 64-bit generation.
+ * An entry records its context's id and generation at fill time and is
+ * live only while the two still match. A single-context flush bumps one
+ * generation and retires the id for reuse; a global flush does that for
+ * every live context. Neither touches an entry, so a flush costs time
+ * proportional to the live contexts (typically a handful per vCPU), not
+ * to the 1024 entries; a lookup pays one extra compare against the
+ * small generation array. Generations only grow, so a retired id's
+ * entries can never come back to life under a later owner of the id.
+ *
  * The cache exposes an *epoch* counter to the CPU's L0 micro-cache
  * (cpu::GuestView): any event after which a privately remembered
  * translation might no longer match what a Tlb lookup would return —
@@ -51,7 +62,21 @@ class Tlb
      * Look up the translation of the page containing @p gpa under
      * @p eptp. Counts a hit or miss.
      */
-    std::optional<Translation> lookup(std::uint64_t eptp, Gpa gpa);
+    std::optional<Translation>
+    lookup(std::uint64_t eptp, Gpa gpa)
+    {
+        const Entry &e = entries[indexOf(eptp, gpa)];
+        if (matches(e, eptp, gpa)) {
+            ++hitCount;
+            if (stats)
+                stats->inc(hitId);
+            return Translation{e.hpaPage | (gpa & pageMask), e.perms};
+        }
+        ++missCount;
+        if (stats)
+            stats->inc(missId);
+        return std::nullopt;
+    }
 
     /**
      * Install a translation (called after a successful walk).
@@ -97,21 +122,64 @@ class Tlb
     /** Number of currently valid entries (for tests). */
     std::size_t validCount() const;
 
+    /** Number of EPTPs filled since their last flush (for tests). */
+    std::size_t liveContexts() const { return live.size(); }
+
   private:
     struct Entry
     {
-        bool valid = false;
-        bool dirtyKnown = false;
         std::uint64_t eptp = 0;
         Gpa gpaPage = 0;
         Hpa hpaPage = 0;
+        /** Generation of context @c ctx at fill time; 0 = never filled. */
+        std::uint64_t gen = 0;
+        std::uint32_t ctx = 0;
         Perms perms = Perms::None;
+        bool dirtyKnown = false;
+    };
+    static_assert(sizeof(Entry) <= 40, "keep a TLB entry within 40 bytes");
+
+    /** An EPTP filled since its last flush, and its context id. */
+    struct Context
+    {
+        std::uint64_t eptp = 0;
+        std::uint32_t id = 0;
     };
 
-    std::size_t indexOf(std::uint64_t eptp, Gpa gpa) const;
+    std::size_t
+    indexOf(std::uint64_t eptp, Gpa gpa) const
+    {
+        // Mix the page number with the EPTP so contexts do not collide
+        // on identical guest addresses (common: all contexts map the
+        // GPA 0 region).
+        const std::uint64_t key =
+            (gpa >> pageShift) ^ (eptp >> pageShift) * 0x9e37ull;
+        return static_cast<std::size_t>(key) & indexMask;
+    }
+
+    /** Is @p e a live entry for the page of @p gpa under @p eptp? */
+    bool
+    matches(const Entry &e, std::uint64_t eptp, Gpa gpa) const
+    {
+        return e.eptp == eptp && e.gpaPage == pageAlignDown(gpa) &&
+               e.gen == ctxGen[e.ctx];
+    }
+
+    /** The context id of @p eptp, opening a context if it has none. */
+    std::uint32_t contextOf(std::uint64_t eptp);
+
+    /** Kill every entry of context @p id and free the id for reuse. */
+    void retire(std::uint32_t id);
 
     std::vector<Entry> entries;
     std::size_t indexMask;
+    /** Current generation per context id; starts at 1, only grows. */
+    std::vector<std::uint64_t> ctxGen;
+    /** The live contexts, at most one per EPTP. */
+    std::vector<Context> live;
+    /** Retired ids, reused before a new id is made. */
+    std::vector<std::uint32_t> freeIds;
+
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::uint64_t flushCount = 0;

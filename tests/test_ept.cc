@@ -5,6 +5,9 @@
  */
 
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -412,6 +415,214 @@ TEST(Tlb, EpochBumpsOnFillFlushAndExplicitBump)
     tlb.bumpEpoch();
     EXPECT_GT(tlb.epoch(), e3);
 }
+
+/**
+ * Reference model of the Tlb with scan invalidation: every entry
+ * carries a valid bit and the flushes clear it entry by entry. Same
+ * slot function, counts and epoch rules as Tlb.
+ */
+class ScanTlb
+{
+  public:
+    explicit ScanTlb(std::size_t entry_count)
+        : entries(entry_count), mask(entry_count - 1)
+    {
+    }
+
+    std::optional<Translation>
+    lookup(std::uint64_t eptp, Gpa gpa)
+    {
+        const Entry &e = slot(eptp, gpa);
+        if (e.valid && e.eptp == eptp && e.gpaPage == pageAlignDown(gpa)) {
+            ++hits;
+            return Translation{e.hpaPage | (gpa & pageMask), e.perms};
+        }
+        ++misses;
+        return std::nullopt;
+    }
+
+    void
+    fill(std::uint64_t eptp, Gpa gpa, const Translation &xlat,
+         bool dirty_known)
+    {
+        slot(eptp, gpa) = Entry{true, dirty_known, eptp,
+                                pageAlignDown(gpa),
+                                pageAlignDown(xlat.hpa), xlat.perms};
+        filledSinceFlush.insert(eptp);
+        ++epoch;
+    }
+
+    bool
+    dirtyKnown(std::uint64_t eptp, Gpa gpa)
+    {
+        const Entry &e = slot(eptp, gpa);
+        return e.valid && e.eptp == eptp &&
+               e.gpaPage == pageAlignDown(gpa) && e.dirtyKnown;
+    }
+
+    void
+    setDirtyKnown(std::uint64_t eptp, Gpa gpa)
+    {
+        Entry &e = slot(eptp, gpa);
+        if (e.valid && e.eptp == eptp && e.gpaPage == pageAlignDown(gpa))
+            e.dirtyKnown = true;
+    }
+
+    void
+    flushAll()
+    {
+        for (Entry &e : entries)
+            e.valid = false;
+        filledSinceFlush.clear();
+        ++flushes;
+        ++epoch;
+    }
+
+    void
+    flushEptp(std::uint64_t eptp)
+    {
+        for (Entry &e : entries) {
+            if (e.valid && e.eptp == eptp)
+                e.valid = false;
+        }
+        filledSinceFlush.erase(eptp);
+        ++flushes;
+        ++epoch;
+    }
+
+    std::size_t
+    validCount() const
+    {
+        std::size_t n = 0;
+        for (const Entry &e : entries)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t flushes = 0;
+    std::uint64_t epoch = 0;
+    /** EPTPs filled since their last flush: Tlb's live contexts. */
+    std::set<std::uint64_t> filledSinceFlush;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        bool dirtyKnown = false;
+        std::uint64_t eptp = 0;
+        Gpa gpaPage = 0;
+        Hpa hpaPage = 0;
+        Perms perms = Perms::None;
+    };
+
+    Entry &
+    slot(std::uint64_t eptp, Gpa gpa)
+    {
+        const std::uint64_t key =
+            (gpa >> pageShift) ^ (eptp >> pageShift) * 0x9e37ull;
+        return entries[key & mask];
+    }
+
+    std::vector<Entry> entries;
+    std::uint64_t mask;
+};
+
+class TlbDifferential : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+// Random operations against the scan model, compared after every
+// step. Six of eight EPTP values are in use at a time; an EPTP leaving
+// use is flushed (retired) and may come back later, as a recycled root
+// frame does, so refills after flushes and context-id reuse are both
+// exercised.
+TEST_P(TlbDifferential, MatchesScanModel)
+{
+    const std::size_t entry_count = GetParam();
+    constexpr int steps = 60000;
+    constexpr std::size_t eptpsInUse = 6;
+    for (std::uint64_t seed : {1ull, 2ull}) {
+        sim::Rng rng(seed * 7919 + entry_count);
+        Tlb tlb(entry_count);
+        ScanTlb ref(entry_count);
+
+        std::vector<std::uint64_t> idle;
+        for (std::uint64_t k = 1; k <= 8; ++k)
+            idle.push_back((k * 37) << pageShift | 0x1e);
+        std::vector<std::uint64_t> inUse(idle.end() - eptpsInUse,
+                                         idle.end());
+        idle.resize(idle.size() - eptpsInUse);
+
+        // Twice as many pages as slots, so fills evict.
+        const std::uint64_t pages = 2 * entry_count;
+        auto pickGpa = [&] {
+            return rng.below(pages) * pageSize + rng.below(pageSize);
+        };
+        const Perms perms[] = {Perms::Read, Perms::RW, Perms::RX,
+                               Perms::RWX};
+
+        for (int step = 0; step < steps; ++step) {
+            const std::uint64_t eptp = inUse[rng.below(inUse.size())];
+            const Gpa gpa = pickGpa();
+            const unsigned op = static_cast<unsigned>(rng.below(100));
+            SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                         std::to_string(step) + " op " +
+                         std::to_string(op));
+            if (op < 35) {
+                auto got = tlb.lookup(eptp, gpa);
+                auto want = ref.lookup(eptp, gpa);
+                ASSERT_EQ(got.has_value(), want.has_value());
+                if (want) {
+                    ASSERT_EQ(got->hpa, want->hpa);
+                    ASSERT_EQ(got->perms, want->perms);
+                }
+            } else if (op < 65) {
+                const Translation xlat{rng.below(1u << 20) * pageSize,
+                                       perms[rng.below(4)]};
+                const bool dirty = rng.below(2) == 1;
+                tlb.fill(eptp, gpa, xlat, dirty);
+                ref.fill(eptp, gpa, xlat, dirty);
+            } else if (op < 75) {
+                ASSERT_EQ(tlb.dirtyKnown(eptp, gpa),
+                          ref.dirtyKnown(eptp, gpa));
+            } else if (op < 82) {
+                tlb.setDirtyKnown(eptp, gpa);
+                ref.setDirtyKnown(eptp, gpa);
+            } else if (op < 89) {
+                tlb.flushEptp(eptp);
+                ref.flushEptp(eptp);
+            } else if (op < 94) {
+                // Retire an EPTP: flush it and swap in an idle value
+                // (possibly one retired earlier).
+                const std::size_t out = rng.below(inUse.size());
+                const std::size_t in = rng.below(idle.size());
+                tlb.flushEptp(inUse[out]);
+                ref.flushEptp(inUse[out]);
+                std::swap(inUse[out], idle[in]);
+            } else if (op < 96) {
+                tlb.flushAll();
+                ref.flushAll();
+            } else {
+                tlb.bumpEpoch();
+                ++ref.epoch;
+            }
+            ASSERT_EQ(tlb.hits(), ref.hits);
+            ASSERT_EQ(tlb.misses(), ref.misses);
+            ASSERT_EQ(tlb.flushes(), ref.flushes);
+            ASSERT_EQ(tlb.epoch(), ref.epoch);
+            ASSERT_EQ(tlb.validCount(), ref.validCount());
+            ASSERT_EQ(tlb.liveContexts(), ref.filledSinceFlush.size());
+        }
+        // Flushes ran often enough to exercise id reuse.
+        EXPECT_GT(tlb.flushes(), static_cast<std::uint64_t>(steps) / 10);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TlbDifferential,
+                         ::testing::Values(std::size_t{16},
+                                           std::size_t{64}));
 
 // ---------------------------------------------------------------------
 // Presence states: the demand-paging encoding in software bits 61:57.

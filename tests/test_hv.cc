@@ -9,6 +9,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,64 @@ TEST_F(HvTest, InstallAndRemoveEptp)
     EXPECT_FALSE(cpu.eptpList().lookup(*idx));
     // Switching there now faults.
     EXPECT_THROW(cpu.vmfunc(0, *idx), cpu::VmExitEvent);
+}
+
+TEST(HvIsolation, RecycledEptpNeverServesRetiredTranslations)
+{
+    hv::Hypervisor machine(16 * MiB);
+    hv::Vm &vm = machine.createVm("a", 2 * MiB);
+    cpu::Vcpu &cpu = vm.vcpu(0);
+    mem::FrameAllocator &frames = machine.allocator();
+    const Gpa g = 0x3000;
+
+    // A context mapping G, used until the TLB caches G under it.
+    auto ctx = std::make_unique<ept::Ept>(machine.memory(), frames);
+    ASSERT_TRUE(ctx->map(g, vm.ramGpaToHpa(g), ept::Perms::RW));
+    const std::uint64_t eptp = ctx->eptp();
+    const Hpa root = ept::Ept::rootOfEptp(eptp);
+    auto idx = machine.installEptp(cpu, eptp);
+    ASSERT_TRUE(idx);
+    cpu.vmfunc(0, *idx);
+    cpu::GuestView(cpu).read<std::uint64_t>(g);
+    ASSERT_TRUE(cpu.tlb().lookup(eptp, g));
+    cpu.vmfunc(0, 0);
+
+    // Revoke it (INVEPT) and free its tables.
+    machine.removeEptp(cpu, *idx);
+    ctx.reset();
+
+    // Steer the rotating allocator back onto the freed root: hold
+    // every other free frame, so the next context's root is the only
+    // frame left.
+    std::vector<Hpa> held;
+    bool root_seen = false;
+    while (auto f = frames.alloc()) {
+        if (*f == root)
+            root_seen = true;
+        else
+            held.push_back(*f);
+    }
+    ASSERT_TRUE(root_seen);
+    frames.free(root);
+
+    // A second context on the same root: the same EPTP value, with G
+    // left unmapped.
+    ept::Ept reused(machine.memory(), frames);
+    ASSERT_EQ(reused.eptp(), eptp);
+    auto idx2 = machine.installEptp(cpu, reused.eptp());
+    ASSERT_TRUE(idx2);
+    cpu.vmfunc(0, *idx2);
+    try {
+        cpu::GuestView(cpu).read<std::uint64_t>(g);
+        FAIL() << "a retired context's translation was served";
+    } catch (const cpu::VmExitEvent &e) {
+        EXPECT_EQ(e.reason(), cpu::ExitReason::EptViolation);
+        EXPECT_TRUE(e.violation().notMapped);
+    }
+    cpu.vmfunc(0, 0);
+    machine.removeEptp(cpu, *idx2);
+    for (Hpa f : held)
+        frames.free(f);
 }
 
 TEST_F(HvTest, ChannelRoundTripThroughGuestMemory)

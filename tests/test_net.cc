@@ -5,6 +5,9 @@
  * and the three workloads.
  */
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "base/units.hh"
@@ -33,6 +36,31 @@ TEST(PacketPattern, FillAndCheck)
     p.data[0] ^= 0xff;
     EXPECT_FALSE(checkPattern(p.data.data(), 1234, 256));
     (void)still_ok;
+}
+
+TEST(PacketPattern, FillMatchesPerByteFormula)
+{
+    // fillPattern copies the rolling pattern in runs; pin it against
+    // the formula byte by byte, across the seq values where
+    // seq * 131 wraps its low byte and its 32 bits.
+    std::vector<std::uint8_t> buf(maxPacketBytes + 1);
+    for (std::uint32_t seq : {0u, 255u, 256u, 0xffffffffu}) {
+        for (std::uint32_t len = 8; len <= maxPacketBytes; ++len) {
+            buf[len] = 0xee; // sentinel: nothing written past len
+            fillPattern(buf.data(), seq, len);
+            std::uint32_t got_seq = 0, got_len = 0;
+            std::memcpy(&got_seq, buf.data(), 4);
+            std::memcpy(&got_len, buf.data() + 4, 4);
+            ASSERT_EQ(got_seq, seq);
+            ASSERT_EQ(got_len, len);
+            for (std::uint32_t i = 8; i < len; ++i) {
+                ASSERT_EQ(buf[i],
+                          static_cast<std::uint8_t>((seq * 131 + i) & 0xff))
+                    << "seq " << seq << " len " << len << " byte " << i;
+            }
+            ASSERT_EQ(buf[len], 0xee) << "seq " << seq << " len " << len;
+        }
+    }
 }
 
 class RingTest : public ::testing::Test
