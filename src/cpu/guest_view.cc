@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "base/bitops.hh"
 #include "base/logging.hh"
@@ -167,7 +168,8 @@ GuestView::readBytes(Gpa gpa, void *dst, std::uint64_t len)
             std::min<std::uint64_t>(len, pageSize - (gpa & pageMask));
         const Hpa hpa = translateChunk(gpa, in_page, ept::Access::Read);
         if (in_page <= smallCopyMax)
-            copySmall(out, cpu.memory().raw(hpa, in_page), in_page);
+            copySmall(out, std::as_const(cpu.memory()).raw(hpa, in_page),
+                      in_page);
         else
             cpu.memory().read(hpa, out, in_page);
         gpa += in_page;
@@ -284,7 +286,8 @@ GuestView::copyBytes(Gpa dst, Gpa src, std::uint64_t len)
                 const std::uint64_t n = std::min(src_p[i].len - si,
                                                  dst_p[j].len - dj);
                 std::memcpy(memory.raw(dst_p[j].hpa + dj, n),
-                            memory.raw(src_p[i].hpa + si, n), n);
+                            std::as_const(memory).raw(src_p[i].hpa + si, n),
+                            n);
                 si += n;
                 dj += n;
                 if (si == src_p[i].len) {

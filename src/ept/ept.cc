@@ -1,5 +1,9 @@
 #include "ept/ept.hh"
 
+#include <algorithm>
+#include <cstring>
+
+#include "base/bitops.hh"
 #include "base/logging.hh"
 
 namespace elisa::ept
@@ -51,6 +55,13 @@ toTranslation(const RawWalk &walk, Gpa gpa)
         walk.level == 1 ? largePageMask : pageMask;
     return Translation{walk.entry.addr() | (gpa & offset_mask),
                        walk.entry.perms()};
+}
+
+/** Bytes from @p gpa to the end of its 2 MiB chunk, at most @p left. */
+std::uint64_t
+chunkBytes(Gpa gpa, std::uint64_t left)
+{
+    return std::min(left, largePageSize - (gpa & largePageMask));
 }
 
 } // anonymous namespace
@@ -110,33 +121,30 @@ EptViolation::describe() const
 Ept::Ept(mem::HostMemory &memory, mem::FrameAllocator &allocator)
     : mem(memory), alloc(allocator)
 {
-    auto frame = alloc.alloc();
+    tables.reserve(eptLevels);
+    auto frame = newTable();
     fatal_if(!frame, "out of physical memory allocating EPT root");
     root = *frame;
-    // The frame is already zero. Writing it faults the host page in
-    // once; a first read would map the host's shared zero page and
-    // fault again on the first write.
-    mem.zero(root, pageSize);
-    tableCount = 1;
 }
 
 Ept::~Ept()
 {
-    freeTables(root, eptLevels - 1);
+    for (const Hpa table : tables)
+        alloc.free(table);
 }
 
-void
-Ept::freeTables(Hpa table, unsigned level)
+std::optional<Hpa>
+Ept::newTable()
 {
-    if (level > 0) {
-        for (unsigned i = 0; i < eptEntriesPerTable; ++i) {
-            EptEntry entry(mem.read64(table + i * 8));
-            // Large-page leaves at level 1 point at data, not tables.
-            if (entry.present() && !(level == 1 && entry.isLarge()))
-                freeTables(entry.addr(), level - 1);
-        }
-    }
-    alloc.free(table);
+    auto frame = alloc.alloc();
+    if (!frame)
+        return std::nullopt;
+    // The frame is already zero. One write faults the host page in;
+    // a first read would map the host's shared zero page and fault
+    // again on the first entry write.
+    mem.write64(*frame, 0);
+    tables.push_back(*frame);
+    return frame;
 }
 
 std::uint64_t
@@ -165,12 +173,9 @@ Ept::walkToLeaf(Gpa gpa, bool allocate, unsigned stop_level)
         if (!entry.present()) {
             if (!allocate)
                 return std::nullopt;
-            auto frame = alloc.alloc();
+            auto frame = newTable();
             if (!frame)
                 return std::nullopt;
-            // Already zero; written for the same reason as the root.
-            mem.zero(*frame, pageSize);
-            ++tableCount;
             // Intermediate entries carry full permissions; access
             // control is enforced at the leaf (simplified from the
             // SDM's AND-of-all-levels semantics, see DESIGN.md).
@@ -186,6 +191,72 @@ std::optional<Ept::LeafSlot>
 Ept::walkToLeaf(Gpa gpa) const
 {
     return const_cast<Ept *>(this)->walkToLeaf(gpa, false);
+}
+
+std::optional<Hpa>
+Ept::directorySlot(Gpa gpa) const
+{
+    auto slot = const_cast<Ept *>(this)->walkToLeaf(gpa, false, 1);
+    if (!slot)
+        return std::nullopt;
+    return slot->slot;
+}
+
+bool
+Ept::rangeFree(Gpa gpa, std::uint64_t len) const
+{
+    for (std::uint64_t off = 0; off < len;) {
+        const Gpa g = gpa + off;
+        const std::uint64_t bytes = chunkBytes(g, len - off);
+        off += bytes;
+        const auto slot = directorySlot(g);
+        if (!slot)
+            continue;
+        const EptEntry dir(mem.read64(*slot));
+        if (!dir.present())
+            continue;
+        if (dir.isLarge())
+            return false;
+        const Hpa first_leaf = dir.addr() + eptIndex(g, 0) * 8;
+        const Hpa end = first_leaf + bytes / pageSize * 8;
+        for (Hpa leaf = first_leaf; leaf < end; leaf += 8) {
+            if (mem.read64(leaf) != 0)
+                return false;
+        }
+    }
+    return true;
+}
+
+void
+Ept::mapChunk(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
+{
+    auto slot = walkToLeaf(gpa, true);
+    fatal_if(!slot, "out of physical memory for EPT tables");
+    panic_if(slot->level != 0, "EPT range collision after validation");
+    const std::uint64_t pages = len / pageSize;
+    std::uint8_t *slots = mem.raw(slot->slot, pages * 8);
+    for (std::uint64_t i = 0; i < pages; ++i) {
+        const std::uint64_t entry =
+            EptEntry::make(hpa + i * pageSize, perms).raw();
+        std::memcpy(slots + i * 8, &entry, 8);
+    }
+    mappedCount += pages;
+    coveredBytes += len;
+}
+
+void
+Ept::checkRangeTarget(Gpa gpa, Hpa hpa, std::uint64_t len,
+                      Perms perms) const
+{
+    panic_if(!isPageAligned(len) || len == 0,
+             "EPT range length %llx not page-sized",
+             (unsigned long long)len);
+    panic_if(!isPageAligned(gpa) || !isPageAligned(hpa),
+             "EPT range map of unaligned address (gpa=%llx hpa=%llx)",
+             (unsigned long long)gpa, (unsigned long long)hpa);
+    panic_if(perms == Perms::None, "EPT map with empty permissions");
+    panic_if(!mem.contains(hpa, len),
+             "EPT range map target outside physical memory");
 }
 
 bool
@@ -235,17 +306,14 @@ Ept::mapLarge(Gpa gpa, Hpa hpa, Perms perms)
 bool
 Ept::mapRange(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
 {
-    panic_if(!isPageAligned(len) || len == 0,
-             "EPT mapRange length %llx not page-sized",
-             (unsigned long long)len);
+    checkRangeTarget(gpa, hpa, len, perms);
     // Validate first so a conflict cannot leave a partial mapping.
-    for (std::uint64_t off = 0; off < len; off += pageSize) {
-        if (occupied(gpa + off))
-            return false;
-    }
-    for (std::uint64_t off = 0; off < len; off += pageSize) {
-        const bool ok = map(gpa + off, hpa + off, perms);
-        panic_if(!ok, "mapRange collision after validation");
+    if (!rangeFree(gpa, len))
+        return false;
+    for (std::uint64_t off = 0; off < len;) {
+        const std::uint64_t bytes = chunkBytes(gpa + off, len - off);
+        mapChunk(gpa + off, hpa + off, bytes, perms);
+        off += bytes;
     }
     return true;
 }
@@ -253,28 +321,22 @@ Ept::mapRange(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
 bool
 Ept::mapRangeAuto(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
 {
-    panic_if(!isPageAligned(len) || len == 0,
-             "EPT mapRangeAuto length %llx not page-sized",
-             (unsigned long long)len);
-    for (std::uint64_t off = 0; off < len; off += pageSize) {
-        if (occupied(gpa + off))
-            return false;
-    }
-    std::uint64_t off = 0;
-    while (off < len) {
+    checkRangeTarget(gpa, hpa, len, perms);
+    if (!rangeFree(gpa, len))
+        return false;
+    for (std::uint64_t off = 0; off < len;) {
         const Gpa g = gpa + off;
         const Hpa h = hpa + off;
-        const bool large_ok = ((g | h) & largePageMask) == 0 &&
-                              len - off >= largePageSize;
-        if (large_ok) {
-            const bool ok = mapLarge(g, h, perms);
-            panic_if(!ok, "mapRangeAuto large collision");
-            off += largePageSize;
-        } else {
-            const bool ok = map(g, h, perms);
-            panic_if(!ok, "mapRangeAuto collision after validation");
-            off += pageSize;
+        const std::uint64_t bytes = chunkBytes(g, len - off);
+        off += bytes;
+        // A whole chunk (so g is large-aligned) on a large-aligned HPA
+        // takes one 2 MiB leaf, unless an emptied page table still
+        // hangs at its directory slot.
+        if (bytes == largePageSize && (h & largePageMask) == 0 &&
+            mapLarge(g, h, perms)) {
+            continue;
         }
+        mapChunk(g, h, bytes, perms);
     }
     return true;
 }
@@ -317,11 +379,45 @@ Ept::unmap(Gpa gpa)
 std::uint64_t
 Ept::unmapRange(Gpa gpa, std::uint64_t len)
 {
+    // ceil(len / 4 KiB) pages, from the page holding gpa.
+    const Gpa first = pageAlignDown(gpa);
+    const std::uint64_t span = divCeil(len, pageSize) * pageSize;
     std::uint64_t removed = 0;
-    for (std::uint64_t off = 0; off < len; off += pageSize) {
-        if (unmap(gpa + off))
+    for (std::uint64_t off = 0; off < span;) {
+        const Gpa g = first + off;
+        const std::uint64_t bytes = chunkBytes(g, span - off);
+        off += bytes;
+        const auto slot = directorySlot(g);
+        if (!slot)
+            continue;
+        const EptEntry dir(mem.read64(*slot));
+        if (!dir.present())
+            continue;
+        if (dir.isLarge()) {
+            // Any page of a large leaf unmaps all of it.
+            mem.write64(*slot, 0);
             ++removed;
+            --mappedCount;
+            coveredBytes -= largePageSize;
+            continue;
+        }
+        const Hpa first_leaf = dir.addr() + eptIndex(g, 0) * 8;
+        const Hpa end = first_leaf + bytes / pageSize * 8;
+        std::uint64_t cleared = 0;
+        for (Hpa leaf = first_leaf; leaf < end; leaf += 8) {
+            // Swapped/Ballooned leaves still own their slot and are
+            // unmapped like present ones; freeing their backing-store
+            // slot is the pager's job, not the page table's.
+            if (mem.read64(leaf) != 0) {
+                mem.write64(leaf, 0);
+                ++cleared;
+            }
+        }
+        removed += cleared;
+        mappedCount -= cleared;
+        coveredBytes -= cleared * pageSize;
     }
+    gen += removed; // one bump per leaf, as unmap() does
     return removed;
 }
 
@@ -340,15 +436,6 @@ Ept::protect(Gpa gpa, Perms perms)
     mem.write64(slot->slot, entry.raw());
     ++gen;
     return true;
-}
-
-bool
-Ept::occupied(Gpa gpa) const
-{
-    auto slot = walkToLeaf(gpa);
-    if (!slot)
-        return false;
-    return mem.read64(slot->slot) != 0;
 }
 
 bool

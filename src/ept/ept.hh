@@ -4,8 +4,10 @@
  *
  * Table pages are allocated from the machine's FrameAllocator and live
  * inside simulated physical memory, so walks read real entries via
- * HostMemory. An Ept owns its table pages (freed on destruction) but
- * never the data frames it maps.
+ * HostMemory. An Ept owns its table pages (kept in a list and freed on
+ * destruction) but never the data frames it maps. Range operations
+ * walk once per leaf table (one 2 MiB chunk of the range), not once
+ * per page.
  */
 
 #ifndef ELISA_EPT_EPT_HH
@@ -119,6 +121,8 @@ class Ept
     /**
      * Map a range using 2 MiB pages wherever both addresses are
      * large-aligned and at least 2 MiB remain, 4 KiB pages elsewhere.
+     * A 2 MiB chunk whose directory slot still holds a page table
+     * (emptied by unmapping) gets 4 KiB leaves in that table.
      * Same all-or-nothing contract as mapRange().
      * @return false if any covered page is already mapped.
      */
@@ -230,7 +234,7 @@ class Ept
     std::uint64_t mappedBytes() const { return coveredBytes; }
 
     /** Number of table pages currently allocated (incl. the root). */
-    std::uint64_t tablePages() const { return tableCount; }
+    std::uint64_t tablePages() const { return tables.size(); }
 
     /** Generation counter, bumped on every unmap/protect (TLB epochs). */
     std::uint64_t generation() const { return gen; }
@@ -259,21 +263,40 @@ class Ept
     std::optional<LeafSlot> walkToLeaf(Gpa gpa) const;
 
     /**
-     * True when the leaf slot for @p gpa holds any entry at all —
-     * including non-present Swapped/Ballooned leaves, which still own
-     * their GPA slot and must not be silently overwritten by map().
+     * The level-1 (page-directory) slot covering @p gpa, or nullopt
+     * when a table above it is missing. Never allocates.
      */
-    bool occupied(Gpa gpa) const;
+    std::optional<Hpa> directorySlot(Gpa gpa) const;
 
-    /** Recursively free table pages below @p table at @p level. */
-    void freeTables(Hpa table, unsigned level);
+    /** Allocate a table page and add it to the list (nullopt if OOM). */
+    std::optional<Hpa> newTable();
+
+    /**
+     * True when no page of [gpa, gpa+len) has a leaf entry of any kind
+     * — including non-present Swapped/Ballooned leaves, which still own
+     * their GPA slot and must not be silently overwritten. Reads one
+     * leaf table per 2 MiB chunk.
+     */
+    bool rangeFree(Gpa gpa, std::uint64_t len) const;
+
+    /**
+     * Map [gpa, gpa+len), which lies in one 2 MiB chunk and holds no
+     * leaf, to @p hpa with 4 KiB leaves: one walk (allocating tables as
+     * needed), then the leaf entries in place.
+     */
+    void mapChunk(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms);
+
+    /** Panic on a malformed range mapping request. */
+    void checkRangeTarget(Gpa gpa, Hpa hpa, std::uint64_t len,
+                          Perms perms) const;
 
     mem::HostMemory &mem;
     mem::FrameAllocator &alloc;
     Hpa root;
+    /** Every table page of the hierarchy, the root first. */
+    std::vector<Hpa> tables;
     std::uint64_t mappedCount = 0;
     std::uint64_t coveredBytes = 0;
-    std::uint64_t tableCount = 0;
     std::uint64_t gen = 0;
 };
 

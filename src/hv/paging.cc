@@ -1,6 +1,7 @@
 #include "hv/paging.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "base/logging.hh"
 #include "hv/hypervisor.hh"
@@ -289,7 +290,7 @@ Pager::evictFrame(Hpa hpa)
     auto slot = backing.alloc();
     if (!slot)
         return false; // swap device full
-    backing.write(*slot, hv.physMem.raw(hpa, pageSize));
+    backing.write(*slot, std::as_const(hv.physMem).raw(hpa, pageSize));
     for (const Mapping &m : frame.mappings) {
         const bool ok = m.ept->markSwapped(m.gpa, *slot);
         panic_if(!ok, "swap-out of GPA %llx found no present leaf",

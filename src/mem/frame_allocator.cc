@@ -7,30 +7,16 @@ namespace elisa::mem
 
 FrameAllocator::FrameAllocator(HostMemory &memory)
     : mem(memory), totalFrames(memory.frameCount()),
-      used(totalFrames, false), handedOutBefore(totalFrames, false)
+      used(totalFrames, false)
 {
 }
 
 void
 FrameAllocator::handOut(std::uint64_t first, std::uint64_t count)
 {
-    // Zero each run of reused frames with one call, since one large
-    // memset is cheaper than one per frame. [reused, i) is the run
-    // pending at frame i.
-    std::uint64_t reused = first;
-    const auto zero_reused = [this, &reused](std::uint64_t end) {
-        if (end > reused)
-            mem.zero(reused * pageSize, (end - reused) * pageSize);
-    };
-    for (std::uint64_t i = first; i < first + count; ++i) {
+    for (std::uint64_t i = first; i < first + count; ++i)
         used[i] = true;
-        if (!handedOutBefore[i]) {
-            zero_reused(i);
-            reused = i + 1;
-            handedOutBefore[i] = true;
-        }
-    }
-    zero_reused(first + count);
+    mem.zeroWritten(first * pageSize, count * pageSize);
     allocatedFrames += count;
 }
 

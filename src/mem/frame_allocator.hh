@@ -7,9 +7,10 @@
  * EPTP-list pages, NIC rings, and shared regions.
  *
  * Every frame it hands out reads as zero, so no caller zeroes a fresh
- * frame. A frame never handed out is an untouched page of the
- * HostMemory mapping; a frame handed out before is zeroed when it is
- * handed out again. Frees do no byte work.
+ * frame. Handing out a run zeroes only its frames that HostMemory
+ * records as written since they were last zeroed; a frame nobody wrote
+ * stays an untouched page of the HostMemory mapping. Frees do no byte
+ * work.
  *
  * The allocator additionally keeps the machine's memory-occupancy
  * book for demand paging: per-owner (per-VM) resident/swapped frame
@@ -40,7 +41,7 @@ namespace elisa::mem
 class FrameAllocator
 {
   public:
-    /** Manage every frame of @p memory, which must be all zero. */
+    /** Manage every frame of @p memory. */
     explicit FrameAllocator(HostMemory &memory);
 
     /**
@@ -149,7 +150,7 @@ class FrameAllocator
     /** Register one owner's gauges (when metrics are attached). */
     void registerOwnerGauges(std::uint32_t owner, OwnerEntry &entry);
 
-    /** Mark [first, first+count) allocated, zeroing reused frames. */
+    /** Mark [first, first+count) allocated, zeroing written frames. */
     void handOut(std::uint64_t first, std::uint64_t count);
 
     sim::Metrics *metricsPtr = nullptr;
@@ -163,8 +164,6 @@ class FrameAllocator
     /** Next frame index to start searching from (rotating first fit). */
     std::uint64_t searchHint = 0;
     std::vector<bool> used;
-    /** Frames handed out at least once: they may hold stale bytes. */
-    std::vector<bool> handedOutBefore;
 };
 
 } // namespace elisa::mem

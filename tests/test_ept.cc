@@ -4,7 +4,10 @@
  * the hardware walker, EPTP lists, and the tagged TLB.
  */
 
+#include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -124,6 +127,29 @@ TEST_F(EptTest, MapRangeAllOrNothing)
 
     EXPECT_TRUE(ept.mapRange(0x10000, *run, 4 * pageSize, Perms::RW));
     EXPECT_EQ(ept.mappedPages(), 5u);
+}
+
+TEST_F(EptTest, MapRangeAutoFillsAnEmptiedPageTable)
+{
+    Ept ept(memory, alloc);
+    auto first = alloc.allocAligned(512, 512);
+    auto second = alloc.allocAligned(512, 512);
+    ASSERT_TRUE(first && second);
+    ASSERT_TRUE(ept.mapRange(0, *first, largePageSize, Perms::RW));
+    EXPECT_EQ(ept.unmapRange(0, largePageSize), 512u);
+    const std::uint64_t tables = ept.tablePages();
+
+    // The emptied page table still hangs at the directory slot, so the
+    // chunk takes 4 KiB leaves inside it instead of a 2 MiB leaf.
+    ASSERT_TRUE(ept.mapRangeAuto(0, *second, largePageSize, Perms::RW));
+    EXPECT_EQ(ept.mappedPages(), 512u);
+    EXPECT_EQ(ept.mappedBytes(), largePageSize);
+    EXPECT_EQ(ept.tablePages(), tables);
+    for (std::uint64_t off = 0; off < largePageSize; off += pageSize) {
+        auto t = ept.translate(off);
+        ASSERT_TRUE(t) << off;
+        EXPECT_EQ(t->hpa, *second + off);
+    }
 }
 
 TEST_F(EptTest, ProtectChangesLeafPerms)
@@ -264,6 +290,249 @@ TEST_P(EptProperty, RandomMappingsRoundTrip)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EptProperty,
                          ::testing::Values(1u, 7u, 99u, 12345u));
+
+// ---- Range operations against the per-page algorithms ---------------
+
+/**
+ * The per-page range algorithms that Ept's range operations replace,
+ * built on its public per-page operations: a root walk per page to
+ * validate, then one per page to map or unmap. mapRangeAuto() gives a
+ * chunk whose directory slot holds an emptied page table 4 KiB leaves.
+ */
+namespace per_page
+{
+
+bool
+occupied(const Ept &ept, Gpa gpa)
+{
+    const auto leaf = ept.leafEntry(gpa);
+    return leaf && leaf->raw() != 0;
+}
+
+bool
+rangeFree(const Ept &ept, Gpa gpa, std::uint64_t len)
+{
+    for (std::uint64_t off = 0; off < len; off += pageSize) {
+        if (occupied(ept, gpa + off))
+            return false;
+    }
+    return true;
+}
+
+bool
+mapRange(Ept &ept, Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
+{
+    if (!rangeFree(ept, gpa, len))
+        return false;
+    for (std::uint64_t off = 0; off < len; off += pageSize)
+        EXPECT_TRUE(ept.map(gpa + off, hpa + off, perms));
+    return true;
+}
+
+bool
+mapRangeAuto(Ept &ept, Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
+{
+    if (!rangeFree(ept, gpa, len))
+        return false;
+    for (std::uint64_t off = 0; off < len;) {
+        const Gpa g = gpa + off;
+        const Hpa h = hpa + off;
+        if (((g | h) & largePageMask) == 0 && len - off >= largePageSize) {
+            if (!ept.mapLarge(g, h, perms)) {
+                for (std::uint64_t p = 0; p < largePageSize; p += pageSize)
+                    EXPECT_TRUE(ept.map(g + p, h + p, perms));
+            }
+            off += largePageSize;
+        } else {
+            EXPECT_TRUE(ept.map(g, h, perms));
+            off += pageSize;
+        }
+    }
+    return true;
+}
+
+std::uint64_t
+unmapRange(Ept &ept, Gpa gpa, std::uint64_t len)
+{
+    std::uint64_t removed = 0;
+    for (std::uint64_t off = 0; off < len; off += pageSize)
+        removed += ept.unmap(gpa + off) ? 1 : 0;
+    return removed;
+}
+
+} // namespace per_page
+
+/** One machine of the differential pair: memory holds only tables. */
+struct RangeMachine
+{
+    RangeMachine() : memory(8 * MiB), alloc(memory) {}
+
+    mem::HostMemory memory;
+    mem::FrameAllocator alloc;
+    std::unique_ptr<Ept> ept;
+};
+
+class EptRangeDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+// Two identical machines, one driven through the range operations and
+// one through the per-page algorithms, compared after every operation:
+// returns, counters, the allocator's frames and every table byte (so
+// the order and placement of table allocations are pinned), and every
+// leaf of the touched span. GPAs fall in windows that straddle a 1 GiB
+// and a 512 GiB boundary; HPAs share the GPA's 2 MiB offset half the
+// time so 2 MiB leaves form.
+TEST_P(EptRangeDifferential, MatchesPerPageAlgorithms)
+{
+    sim::Rng rng(GetParam());
+    RangeMachine fast, ref;
+    const std::uint64_t baseline = fast.alloc.allocated();
+    const Gpa windows[] = {0, 1 * GiB - 4 * MiB, 512 * GiB - 4 * MiB};
+    constexpr std::uint64_t windowPages = 8 * MiB / pageSize;
+    constexpr std::uint64_t maxPages = 1100;
+    const std::uint64_t memPages = fast.memory.frameCount();
+    const Perms perms[] = {Perms::Read, Perms::RW, Perms::RX, Perms::RWX};
+
+    auto build = [&] {
+        fast.ept = std::make_unique<Ept>(fast.memory, fast.alloc);
+        ref.ept = std::make_unique<Ept>(ref.memory, ref.alloc);
+    };
+    auto teardown = [&] {
+        fast.ept.reset();
+        ref.ept.reset();
+        ASSERT_EQ(fast.alloc.allocated(), baseline);
+        ASSERT_EQ(ref.alloc.allocated(), baseline);
+    };
+    auto compare = [&](Gpa gpa, std::uint64_t len) {
+        ASSERT_EQ(fast.ept->mappedPages(), ref.ept->mappedPages());
+        ASSERT_EQ(fast.ept->mappedBytes(), ref.ept->mappedBytes());
+        ASSERT_EQ(fast.ept->tablePages(), ref.ept->tablePages());
+        ASSERT_EQ(fast.ept->generation(), ref.ept->generation());
+        ASSERT_EQ(fast.alloc.allocated(), ref.alloc.allocated());
+        const mem::HostMemory &fm = fast.memory, &rm = ref.memory;
+        for (std::uint64_t f = 0; f < memPages; ++f) {
+            const Hpa hpa = f * pageSize;
+            ASSERT_EQ(fast.alloc.isAllocated(hpa), ref.alloc.isAllocated(hpa))
+                << "frame " << f;
+            if (fast.alloc.isAllocated(hpa)) {
+                ASSERT_EQ(std::memcmp(fm.raw(hpa, pageSize),
+                                      rm.raw(hpa, pageSize), pageSize),
+                          0)
+                    << "table frame " << f;
+            }
+        }
+        for (Gpa g = pageAlignDown(gpa); g < gpa + len; g += pageSize) {
+            const auto a = fast.ept->leafEntry(g);
+            const auto b = ref.ept->leafEntry(g);
+            ASSERT_EQ(a.has_value(), b.has_value()) << std::hex << g;
+            if (a) {
+                ASSERT_EQ(a->raw(), b->raw()) << std::hex << g;
+            }
+        }
+    };
+
+    build();
+    constexpr int steps = 12000;
+    for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        if (step % 250 == 249) {
+            teardown();
+            build();
+        }
+        // A range inside one window.
+        const Gpa window = windows[rng.below(3)];
+        std::uint64_t page = rng.below(windowPages);
+        std::uint64_t pages = 0;
+        switch (rng.below(4)) {
+          case 0:
+            pages = 1 + rng.below(8);
+            break;
+          case 1:
+            pages = 1 + rng.below(maxPages);
+            break;
+          default:
+            // Whole chunks, often chunk-aligned.
+            if (rng.chance(0.6))
+                page &= ~std::uint64_t{511};
+            pages = 512 * (1 + rng.below(2)) +
+                    (rng.chance(0.5) ? 0 : rng.below(8));
+            break;
+        }
+        pages = std::min(pages, windowPages - page);
+        const Gpa gpa = window + page * pageSize;
+        const std::uint64_t len = pages * pageSize;
+        const std::uint64_t hpaPages = memPages - pages;
+        Hpa hpa = rng.below(hpaPages + 1) * pageSize;
+        if (rng.chance(0.5)) {
+            // Same 2 MiB offset as the GPA.
+            const std::uint64_t skew = gpa & largePageMask;
+            const std::uint64_t slots =
+                (memPages * pageSize - skew - len) / largePageSize;
+            if (skew + len <= memPages * pageSize)
+                hpa = skew + rng.below(slots + 1) * largePageSize;
+        }
+        const Perms p = perms[rng.below(4)];
+
+        const unsigned op = static_cast<unsigned>(rng.below(100));
+        if (op < 22) {
+            ASSERT_EQ(fast.ept->mapRange(gpa, hpa, len, p),
+                      per_page::mapRange(*ref.ept, gpa, hpa, len, p));
+        } else if (op < 44) {
+            ASSERT_EQ(fast.ept->mapRangeAuto(gpa, hpa, len, p),
+                      per_page::mapRangeAuto(*ref.ept, gpa, hpa, len, p));
+        } else if (op < 62) {
+            // Sometimes from inside a page, for a partial last page.
+            Gpa at = gpa;
+            std::uint64_t bytes = len;
+            if (rng.chance(0.2)) {
+                at += rng.below(pageSize);
+                bytes -= rng.below(pageSize);
+            }
+            ASSERT_EQ(fast.ept->unmapRange(at, bytes),
+                      per_page::unmapRange(*ref.ept, at, bytes));
+        } else if (op < 72) {
+            ASSERT_EQ(fast.ept->map(gpa, hpa, p), ref.ept->map(gpa, hpa, p));
+        } else if (op < 78) {
+            const Gpa g = gpa & ~largePageMask;
+            const Hpa h = rng.below(memPages * pageSize / largePageSize) *
+                          largePageSize;
+            ASSERT_EQ(fast.ept->mapLarge(g, h, p), ref.ept->mapLarge(g, h, p));
+        } else if (op < 84) {
+            const std::uint64_t slot = rng.below(1u << 20);
+            ASSERT_EQ(fast.ept->markSwapped(gpa, slot),
+                      ref.ept->markSwapped(gpa, slot));
+        } else if (op < 88) {
+            ASSERT_EQ(fast.ept->markBallooned(gpa),
+                      ref.ept->markBallooned(gpa));
+        } else if (pages > 1) {
+            // A collision on the range's last page: the range call must
+            // fail without writing an entry or allocating a table.
+            const Gpa last = gpa + len - pageSize;
+            const Hpa h = rng.below(memPages) * pageSize;
+            ASSERT_EQ(fast.ept->map(last, h, p), ref.ept->map(last, h, p));
+            const std::uint64_t tables = fast.ept->tablePages();
+            const std::uint64_t frames = fast.alloc.allocated();
+            const std::uint64_t leaves = fast.ept->mappedPages();
+            if (rng.chance(0.5)) {
+                ASSERT_FALSE(fast.ept->mapRange(gpa, hpa, len, p));
+                ASSERT_FALSE(per_page::mapRange(*ref.ept, gpa, hpa, len, p));
+            } else {
+                ASSERT_FALSE(fast.ept->mapRangeAuto(gpa, hpa, len, p));
+                ASSERT_FALSE(
+                    per_page::mapRangeAuto(*ref.ept, gpa, hpa, len, p));
+            }
+            ASSERT_EQ(fast.ept->tablePages(), tables);
+            ASSERT_EQ(fast.alloc.allocated(), frames);
+            ASSERT_EQ(fast.ept->mappedPages(), leaves);
+        }
+        compare(gpa, len);
+    }
+    teardown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EptRangeDifferential,
+                         ::testing::Values(1u, 2u));
 
 // ---- EPTP list ---------------------------------------------------------
 

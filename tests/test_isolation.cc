@@ -21,6 +21,7 @@
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
+#include "frame_checks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/ivshmem.hh"
 
@@ -84,6 +85,8 @@ TEST_F(IsolationTest, SuccessorVmOnADeadVmsFramesReadsZero)
     cpu::GuestView(successor.vcpu(0)).readBytes(0, seen.data(), ram);
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
               static_cast<std::ptrdiff_t>(ram));
+    // Every write path set its frames' written bits.
+    EXPECT_TRUE(test::unwrittenFramesWithBytes(hv.memory()).empty());
 }
 
 // ---- The direct-mapping hazard the paper motivates -----------------

@@ -7,14 +7,21 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/units.hh"
+#include "cpu/guest_view.hh"
+#include "cpu/vcpu.hh"
+#include "ept/ept.hh"
+#include "frame_checks.hh"
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
+#include "sim/cost_model.hh"
 #include "sim/engine.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -225,6 +232,135 @@ TEST_P(FrameAllocatorProperty, NoOverlapUnderRandomWorkload)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameAllocatorProperty,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u));
+
+TEST(HostMemory, WrittenBitsFollowMutableAccess)
+{
+    HostMemory m(16 * pageSize);
+    EXPECT_FALSE(m.written(0));
+    m.read64(0x1000);
+    std::as_const(m).raw(0x2000, 2 * pageSize);
+    EXPECT_FALSE(m.written(0x1000)); // reads mark nothing
+    EXPECT_FALSE(m.written(0x3000));
+    m.raw(0x4ff8, 16);               // spans two frames
+    EXPECT_TRUE(m.written(0x4000));
+    EXPECT_TRUE(m.written(0x5000));
+    EXPECT_FALSE(m.written(0x6000));
+
+    m.write64(0x7000, 1);
+    m.zeroWritten(0x4000, 4 * pageSize); // frames 4..7
+    EXPECT_FALSE(m.written(0x4000));
+    EXPECT_FALSE(m.written(0x7000));
+    EXPECT_EQ(m.read64(0x7000), 0u);
+}
+
+/** A vCPU handler for guests that make no hypercall. */
+struct NoHypercalls : cpu::HypercallSink
+{
+    std::uint64_t
+    handleHypercall(cpu::Vcpu &, const cpu::HypercallArgs &) override
+    {
+        return 0;
+    }
+};
+
+/**
+ * Property: a run handed out reads zero however its frames were
+ * written before, and a frame whose written bit is clear reads zero.
+ * Runs come from alloc() and allocAligned() and are freed at random;
+ * live runs are written through every mutable path, with non-zero
+ * bytes and across page boundaries where the path allows it.
+ */
+class WrittenFramesProperty : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(WrittenFramesProperty, HandedOutRunsReadZero)
+{
+    sim::Rng rng(GetParam());
+    HostMemory memory(1 * MiB);
+    FrameAllocator alloc(memory);
+    // GuestView accesses reach GPA == HPA through an identity context.
+    ept::Ept identity(memory, alloc);
+    ASSERT_TRUE(identity.mapRange(0, 0, memory.size(), ept::Perms::RW));
+    const sim::CostModel cost;
+    NoHypercalls sink;
+    cpu::Vcpu vcpu(0, 0, memory, alloc, cost, &sink);
+    vcpu.eptpList().set(0, identity.eptp());
+    vcpu.activateEptp(0);
+    cpu::GuestView view(vcpu);
+
+    constexpr std::uint64_t maxRun = 12;
+    std::vector<std::uint8_t> bytes(maxRun * pageSize);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(1 + i % 251);
+
+    std::vector<std::pair<Hpa, std::uint64_t>> live;
+    std::uint64_t handedOut = 0;
+    for (int step = 0; step < 12000; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const unsigned op = static_cast<unsigned>(rng.below(100));
+        if (live.empty() || op < 25) {
+            const std::uint64_t count = 1 + rng.below(maxRun);
+            auto base = rng.chance(0.3)
+                            ? alloc.allocAligned(count, 1ull << rng.below(4))
+                            : alloc.alloc(count);
+            if (!base)
+                continue;
+            ASSERT_EQ(countZeroBytes(memory, *base, count), count * pageSize);
+            live.emplace_back(*base, count);
+            ++handedOut;
+            continue;
+        }
+        if (op < 50) {
+            const std::size_t pick = rng.below(live.size());
+            alloc.free(live[pick].first, live[pick].second);
+            live[pick] = live.back();
+            live.pop_back();
+            continue;
+        }
+        const auto [base, count] = live[rng.below(live.size())];
+        const std::uint64_t run = count * pageSize;
+        const std::uint64_t off = rng.below(run);
+        const std::uint64_t len = 1 + rng.below(run - off);
+        const Hpa at = base + off;
+        switch (op % 7) {
+          case 0:
+            memory.write64(base + (off & ~std::uint64_t{7}),
+                           0x0123456789abcdefull);
+            break;
+          case 1:
+            memory.write(at, bytes.data(), len);
+            break;
+          case 2:
+            // Part of one page.
+            memory.zero(at, std::min(len, pageSize - (at & pageMask)));
+            break;
+          case 3:
+            std::memset(memory.raw(at, len), 0xa5, len);
+            break;
+          case 4:
+            view.writeBytes(at, bytes.data(), len);
+            break;
+          case 5:
+            view.zeroBytes(at, len);
+            break;
+          default: {
+            // From the start of another live run (possibly the same).
+            const auto [src, src_count] = live[rng.below(live.size())];
+            view.copyBytes(at, src, std::min(len, src_count * pageSize));
+            break;
+          }
+        }
+    }
+    EXPECT_GT(handedOut, 2000u);
+    const std::vector<std::uint64_t> leaked =
+        test::unwrittenFramesWithBytes(memory);
+    EXPECT_TRUE(leaked.empty()) << leaked.size() << " frames, first "
+                                << (leaked.empty() ? 0 : leaked[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WrittenFramesProperty,
+                         ::testing::Values(1u, 2u));
 
 // ---------------------------------------------------------------------
 // BackingStore: the simulated swap device behind the demand pager.

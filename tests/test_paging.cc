@@ -17,6 +17,7 @@
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
+#include "frame_checks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/paging.hh"
 #include "sim/exit_ledger.hh"
@@ -164,6 +165,9 @@ TEST_F(PagingTest, SuccessorVmOnPoisonedFramesReadsZero)
     cpu::GuestView(successor.vcpu(0)).readBytes(0, seen.data(), ram);
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
               static_cast<std::ptrdiff_t>(ram));
+    // Every write path, the pager's poisoning and page-ins included,
+    // set its frames' written bits.
+    EXPECT_TRUE(test::unwrittenFramesWithBytes(hv.memory()).empty());
 }
 
 TEST_F(PagingTest, L0MicroCacheStaleAcrossReclaimRefaults)
