@@ -23,18 +23,16 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t opsPerPoint = scaledCount(200000);
+constexpr std::uint64_t opsPerPoint = 200000;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("A3", "ablation: batching the crossing (gate call vs "
-                 "VMCALL)");
 
+void
+ablationBatch()
+{
     Testbed bed;
     hv::Vm &vm = bed.addGuest("guest", 64 * MiB);
     core::ElisaGuest guest(vm, bed.svc);
@@ -107,5 +105,6 @@ main(int argc, char **argv)
                 "cost decides the outcome —\n"
                 "  exactly the regime of per-packet I/O and per-op "
                 "KVS access in F1-F5.\n");
-    return 0;
 }
+
+} // namespace elisa::bench

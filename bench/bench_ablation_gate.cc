@@ -24,17 +24,16 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t iterations = scaledCount(200000);
+constexpr std::uint64_t iterations = 200000;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("A1", "ablation: gate context vs direct 2-VMFUNC entry");
 
+void
+ablationGate()
+{
     Testbed bed;
     hv::Vm &vm = bed.addGuest("guest", 64 * MiB);
     core::ElisaGuest guest(vm, bed.svc);
@@ -113,5 +112,6 @@ main(int argc, char **argv)
                 "throughput: the gate is cheap\n"
                 "  relative to the work it protects.\n",
                 (gated - ungated) / (get_core + gated) * 100.0);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -21,17 +21,16 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t iterations = scaledCount(50000);
+constexpr std::uint64_t iterations = 50000;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("A2", "ablation: tagged TLB vs flush-on-switch");
 
+void
+ablationTlb()
+{
     Testbed bed;
     hv::Vm &vm = bed.addGuest("guest", 64 * MiB);
     core::ElisaGuest guest(vm, bed.svc);
@@ -82,5 +81,6 @@ main(int argc, char **argv)
                 "  at 64 pages/call the penalty dwarfs the 196 ns "
                 "round trip itself.\n",
                 (unsigned long long)bed.hv.cost().eptWalkNs);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -15,22 +15,12 @@
 #include "bench/common.hh"
 #include "memcached/loadgen.hh"
 
-namespace
+namespace elisa::bench
 {
 
-using namespace elisa;
-using namespace elisa::bench;
-
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+ablationWake()
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("A4", "ablation: polling vs doorbell wake-up (memcached "
-                 "over ELISA)");
-
     Testbed bed(2 * GiB);
     hv::Vm &vm_poll = bed.addGuest("mc-poll", 64 * MiB);
     core::ElisaGuest guest_poll(vm_poll, bed.svc);
@@ -72,5 +62,6 @@ main(int argc, char **argv)
                 "  core; the gap closes as load keeps the server "
                 "awake.\n",
                 (double)bed.hv.cost().ipiDeliverNs / 1e3);
-    return 0;
 }
+
+} // namespace elisa::bench

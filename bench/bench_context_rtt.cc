@@ -16,17 +16,16 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t iterations = scaledCount(1000000);
+constexpr std::uint64_t iterations = 1000000;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("T2", "context round-trip time (ELISA vs VMCALL)");
 
+void
+contextRtt()
+{
     Testbed bed;
     hv::Vm &guest_vm = bed.addGuest("guest");
     core::ElisaGuest guest(guest_vm, bed.svc);
@@ -101,5 +100,6 @@ main(int argc, char **argv)
     report.set("vmcall_over_elisa_ratio", vmcall_ns / elisa_ns);
     report.set("delegated_rtt_ns", delegated_ns);
     report.set("delegated_over_direct_ratio", delegated_ns / elisa_ns);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -34,15 +34,14 @@ makeCluster(kvs::ClusterScheme scheme)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("C1", "sharded KVS cluster: p99 latency vs throughput");
 
+void
+kvsCluster()
+{
     constexpr std::uint64_t key_space = 4000;
-    const std::uint64_t requests = scaledCount(6000);
+    constexpr std::uint64_t requests = 6000;
     const std::vector<double> loads_rps = {100e3, 300e3, 500e3,
                                            700e3, 900e3};
 
@@ -112,5 +111,6 @@ main(int argc, char **argv)
     // p50 gap must reproduce the calibrated RTT gap (699 - 196 ns).
     paperCheck("cluster p50 gap vs RTT gap (VMCALL-ELISA)",
                vmcall_p50 - elisa_p50, 503.0, "ns");
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -7,18 +7,16 @@
 
 #include "bench/kvs_common.hh"
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    using namespace elisa;
-    using namespace elisa::bench;
 
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F1", "KVS GET throughput vs number of VMs");
+void
+kvsGet()
+{
     const KvsPoint p = runKvsFigure(kvs::Mix::GetOnly, "F1_kvs_get");
     paperCheck("ELISA GET gain over VMCALL @8 VMs",
                (p.elisa - p.vmcall) / p.vmcall * 100.0, 64.0, "%");
     paperCheck("ivshmem GET @8 VMs", p.direct, 13.6, "Mops/s");
-    return 0;
 }
+
+} // namespace elisa::bench

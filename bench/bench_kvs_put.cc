@@ -7,17 +7,15 @@
 
 #include "bench/kvs_common.hh"
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    using namespace elisa;
-    using namespace elisa::bench;
 
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F2", "KVS PUT throughput vs number of VMs");
+void
+kvsPut()
+{
     const KvsPoint p = runKvsFigure(kvs::Mix::PutOnly, "F2_kvs_put");
     paperCheck("ELISA PUT gain over VMCALL @8 VMs",
                (p.elisa - p.vmcall) / p.vmcall * 100.0, 54.0, "%");
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -8,21 +8,12 @@
 
 #include "bench/mc_common.hh"
 
-namespace
+namespace elisa::bench
 {
 
-using namespace elisa;
-using namespace elisa::bench;
-
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+memcachedGet()
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F6", "memcached GET-heavy: p99 latency vs throughput");
-
     Testbed bed(2 * GiB);
     const std::vector<double> loads = {50, 100, 150, 200, 250,
                                        300, 350, 400, 450};
@@ -92,5 +83,6 @@ main(int argc, char **argv)
                    (1.0 - (double)pe.p99 / (double)pv.p99) * 100.0,
                    44.0, "%");
     }
-    return 0;
 }
+
+} // namespace elisa::bench

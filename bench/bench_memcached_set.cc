@@ -8,21 +8,12 @@
 
 #include "bench/mc_common.hh"
 
-namespace
+namespace elisa::bench
 {
 
-using namespace elisa;
-using namespace elisa::bench;
-
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+memcachedSet()
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F7", "memcached SET-heavy: p99 latency vs throughput");
-
     Testbed bed(2 * GiB);
     const std::vector<double> loads = {25, 50, 75, 100, 150,
                                        200, 250, 300};
@@ -66,5 +57,6 @@ main(int argc, char **argv)
                39.0, "%");
     paperCheck("SET-heavy knee vs GET-heavy knee (ivshmem)",
                p_direct.achievedKrps(), 250.0, "Krps");
-    return 0;
 }
+
+} // namespace elisa::bench

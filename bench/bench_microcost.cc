@@ -17,7 +17,7 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t iterations = scaledCount(1000000);
+constexpr std::uint64_t iterations = 1000000;
 
 /** Average simulated ns of @p op over the iteration count. */
 template <typename Fn>
@@ -32,13 +32,12 @@ avgNs(cpu::Vcpu &cpu, Fn &&op)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("T3", "transition-primitive microcosts");
 
+void
+microcost()
+{
     Testbed bed;
     hv::Vm &vm = bed.addGuest("guest");
     cpu::Vcpu &cpu = vm.vcpu(0);
@@ -117,5 +116,6 @@ main(int argc, char **argv)
     report.set("ept_walk_ns", walk_ns);
 
     bed.hv.allocator().free(*frame);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -21,19 +21,17 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t packetsPerVm = scaledCount(40000);
+constexpr std::uint64_t packetsPerVm = 40000;
 constexpr unsigned maxVms = 12;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F8", "aggregate 64B RX vs number of VMs sharing one port "
-                 "(extension)");
 
+void
+netMultivm()
+{
     TextTable table;
     table.header({"VMs", "ivshmem", "VMCALL", "ELISA", "(Mpps, line "
                                                        "rate 14.2)"});
@@ -94,5 +92,6 @@ main(int argc, char **argv)
                 "  the intro's 'exit cost wastes the device' point, "
                 "quantified in vCPUs.\n",
                 elisa_saturated_at, vmcall_at_max);
-    return 0;
 }
+
+} // namespace elisa::bench

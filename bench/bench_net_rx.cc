@@ -11,21 +11,12 @@
 
 #include "bench/net_common.hh"
 
-namespace
+namespace elisa::bench
 {
 
-using namespace elisa;
-using namespace elisa::bench;
-
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+netRx()
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F3", "RX over NIC throughput vs packet size");
-
     Testbed bed;
     hv::Vm &vm = bed.addGuest("rx-guest", 64 * MiB);
     core::ElisaGuest guest(vm, bed.svc);
@@ -92,5 +83,6 @@ main(int argc, char **argv)
     report.set("hypernf_elisa_mpps", h_elisa);
     report.set("hypernf_vmcall_reduction_pct",
                (h_direct - h_vmcall) / h_direct * 100.0);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -8,16 +8,12 @@
 
 #include "bench/net_common.hh"
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    using namespace elisa;
-    using namespace elisa::bench;
 
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F4", "TX over NIC throughput vs packet size");
-
+void
+netTx()
+{
     Testbed bed;
     hv::Vm &vm = bed.addGuest("tx-guest", 64 * MiB);
     core::ElisaGuest guest(vm, bed.svc);
@@ -36,5 +32,6 @@ main(int argc, char **argv)
 
     paperCheck("ELISA TX gain over VMCALL @64B",
                (elisa64 - vmcall64) / vmcall64 * 100.0, 163.0, "%");
-    return 0;
 }
+
+} // namespace elisa::bench

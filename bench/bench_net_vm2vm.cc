@@ -9,21 +9,12 @@
 
 #include "bench/net_common.hh"
 
-namespace
+namespace elisa::bench
 {
 
-using namespace elisa;
-using namespace elisa::bench;
-
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+netVm2vm()
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F5", "VM-to-VM throughput vs packet size");
-
     Testbed bed(2 * GiB);
     hv::Vm &vm_a = bed.addGuest("vm-a", 64 * MiB);
     hv::Vm &vm_b = bed.addGuest("vm-b", 64 * MiB);
@@ -68,5 +59,6 @@ main(int argc, char **argv)
 
     paperCheck("ELISA VM-to-VM gain over VMCALL @64B",
                (elisa64 - vmcall64) / vmcall64 * 100.0, 163.0, "%");
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -26,7 +26,7 @@ namespace
 using namespace elisa;
 using namespace elisa::bench;
 
-const std::uint64_t packetsPerPoint = scaledCount(100000);
+constexpr std::uint64_t packetsPerPoint = 100000;
 constexpr std::uint32_t pktLen = 64;
 constexpr Gpa stateWindowGpa = 0x530000000000ull;
 
@@ -44,13 +44,12 @@ chainOf(unsigned length)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("F9", "NF-chain RX processing vs chain length (extension)");
 
+void
+nfChain()
+{
     Testbed bed;
     const sim::CostModel &cost = bed.hv.cost();
     hv::Vm &guest_vm = bed.addGuest("nf-guest", 64 * MiB);
@@ -183,5 +182,6 @@ main(int argc, char **argv)
                 "of NF work per packet),\n"
                 "  not from a tuned constant.\n",
                 (unsigned long long)(4 * bed.hv.cost().nfWorkNs));
-    return 0;
 }
+
+} // namespace elisa::bench

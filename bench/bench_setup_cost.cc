@@ -26,13 +26,12 @@ noopFns()
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("T4", "negotiation / setup cost scaling");
 
+void
+setupCost()
+{
     // --- export cost vs object size --------------------------------
     {
         Testbed bed;
@@ -194,5 +193,6 @@ main(int argc, char **argv)
                     "  bounding one vCPU to ~255 concurrent "
                     "attachments; call cost is independent.\n");
     }
-    return 0;
 }
+
+} // namespace elisa::bench

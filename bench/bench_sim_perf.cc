@@ -3,35 +3,24 @@
  * Host-side microbenchmarks (google-benchmark) of the simulator's hot
  * paths: not a paper experiment, but the performance budget that
  * makes the figure harnesses (millions of simulated packets/ops per
- * point) tractable.
+ * point) tractable. The engine scale scenario is `elisa_bench S1`.
  *
- * Besides the microbenches, this binary runs a hundreds-of-VMs
- * multi-machine *scale scenario* through the engine and reports its
- * simulated metrics and sim-time/wall-time ratio into
- * BENCH_sim_perf.json for the tools/bench_check regression gate
- * (wall_* metrics are gated one-sided with a generous tolerance —
- * wall clocks are noisy; the simulated metrics are exact).
- *
- *   bench_sim_perf [--vms=N] [google-benchmark flags]
+ *   bench_sim_perf [google-benchmark flags]
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/units.hh"
-#include "bench/common.hh"
 #include "cpu/guest_view.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
 #include "hv/hypervisor.hh"
-#include "sim/engine.hh"
+#include "sim/tracer.hh"
 
 namespace
 {
@@ -112,8 +101,10 @@ BENCHMARK(BM_GateCall);
  * The same gate call with a Tracer installed: every call emits 8
  * span events (gate_call + 4 eptp_switch + stack_swap + payload +
  * return begin/end pairs) into the ring. The delta vs BM_GateCall is
- * the enabled-tracing cost; the disabled cost is asserted <= 2% in
- * test_trace.
+ * the enabled-tracing cost. With no tracer the call takes the
+ * untraced instantiation, which test_trace checks structurally
+ * (TraceTest.RemovedTracerAndLedgerRecordNothing); the wall-clock
+ * check of idle hooks is `elisa_bench O1`'s wall_gate_mops_telemetry.
  */
 void
 BM_GateCallTraced(benchmark::State &state)
@@ -231,170 +222,6 @@ BM_StatIncString(benchmark::State &state)
 }
 BENCHMARK(BM_StatIncString);
 
-// ---- hundreds-of-VMs scale scenario --------------------------------
-
-/**
- * One simulated machine of the scale scenario: a hypervisor hosting
- * single-vCPU guest VMs. Machines only interact through replication
- * pings.
- */
-struct ScaleMachine
-{
-    explicit ScaleMachine(unsigned vms) : hv((vms * 2 + 32) * MiB)
-    {
-        setQuiet(true);
-        for (unsigned v = 0; v < vms; ++v)
-            hv.createVm("vm" + std::to_string(v), 2 * MiB);
-    }
-
-    hv::Hypervisor hv;
-};
-
-/**
- * Per-VM actor: every step is one VMCALL round trip on the VM's vCPU;
- * every 16th step additionally sends a replication ping to the next
- * machine, arriving one network propagation later.
- */
-class VmWorker : public sim::Actor
-{
-  public:
-    VmWorker(sim::Engine &engine, cpu::Vcpu &vcpu,
-             std::uint64_t *peer_pings, std::uint64_t steps)
-        : engine(engine), vcpu(vcpu), peerPings(peer_pings),
-          total(steps)
-    {
-    }
-
-    SimNs actorNow() const override { return vcpu.clock().now(); }
-
-    bool
-    step() override
-    {
-        const SimNs t = vcpu.clock().now();
-        vcpu.vmcall(hv::hcArgs(hv::Hc::Nop));
-        if (++count % 16 == 0) {
-            engine.post(t + vcpu.costModel().netPropagationNs,
-                        [this](SimNs) { ++*peerPings; });
-        }
-        return count < total;
-    }
-
-  private:
-    sim::Engine &engine;
-    cpu::Vcpu &vcpu;
-    std::uint64_t *peerPings;
-    std::uint64_t total;
-    std::uint64_t count = 0;
-};
-
-/** Everything one scale run observes. */
-struct ScaleResult
-{
-    std::uint64_t steps = 0;
-    std::uint64_t delivered = 0;
-    SimNs simNs = 0; ///< slowest vCPU's final clock
-    double wallMs = 0.0;
-};
-
-ScaleResult
-runScale(unsigned machine_count, unsigned vms_per,
-         std::uint64_t steps_per)
-{
-    std::vector<std::unique_ptr<ScaleMachine>> machines;
-    for (unsigned m = 0; m < machine_count; ++m)
-        machines.push_back(std::make_unique<ScaleMachine>(vms_per));
-
-    sim::Engine engine;
-    std::vector<std::uint64_t> pings(machine_count, 0);
-    std::vector<std::unique_ptr<VmWorker>> workers;
-    for (unsigned m = 0; m < machine_count; ++m) {
-        const unsigned peer = (m + 1) % machine_count;
-        for (unsigned v = 0; v < vms_per; ++v) {
-            workers.push_back(std::make_unique<VmWorker>(
-                engine, machines[m]->hv.vm(v).vcpu(0), &pings[peer],
-                steps_per));
-            engine.add(workers.back().get());
-        }
-    }
-
-    ScaleResult result;
-    const auto wall0 = std::chrono::steady_clock::now();
-    result.steps = engine.run();
-    result.wallMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall0)
-            .count();
-    result.delivered = engine.delivered();
-    for (auto &machine : machines) {
-        for (unsigned v = 0; v < vms_per; ++v) {
-            const SimNs now =
-                machine->hv.vm(v).vcpu(0).clock().now();
-            if (now > result.simNs)
-                result.simNs = now;
-        }
-    }
-    return result;
-}
-
-void
-runScaleScenario(unsigned vms)
-{
-    constexpr unsigned machine_count = 8;
-    const unsigned vms_per =
-        vms < machine_count ? 1 : vms / machine_count;
-    // Multiple of 16 so the ping fraction is exact at any scale.
-    const std::uint64_t steps_per =
-        (bench::scaledCount(3200) / 16) * 16;
-    const unsigned total_vms = vms_per * machine_count;
-
-    std::printf("\nscale scenario: %u machines x %u VMs, %llu "
-                "VMCALL-steps each\n",
-                machine_count, vms_per,
-                (unsigned long long)steps_per);
-
-    const ScaleResult r = runScale(machine_count, vms_per, steps_per);
-
-    const double ratio = (double)r.simNs / (r.wallMs * 1e6);
-    std::printf("  %8.2f ms wall, sim/wall ratio %.3f\n", r.wallMs,
-                ratio);
-    std::printf("  %u VMs, %llu steps, %llu inter-machine pings "
-                "delivered\n",
-                total_vms, (unsigned long long)r.steps,
-                (unsigned long long)r.delivered);
-
-    bench::BenchReport report("sim_perf");
-    // Simulated metrics: exact, gated two-sided by bench_check.
-    report.set("scale_ns_per_op", (double)r.simNs / (double)steps_per);
-    report.set("scale_events_per_kop",
-               (double)r.delivered * 1000.0 / (double)r.steps);
-    // Wall metric: noisy, gated one-sided (see --wall-tolerance).
-    report.set("wall_sim_ratio_t1", ratio);
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    unsigned vms = 256;
-
-    // Strip our flag; everything else goes to google-benchmark.
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--vms=", 6) == 0) {
-            vms = (unsigned)std::strtoul(argv[i] + 6, nullptr, 10);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    fatal_if(vms == 0, "--vms must be >= 1");
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    runScaleScenario(vms);
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

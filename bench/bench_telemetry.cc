@@ -6,9 +6,10 @@
  * the hot gate path with the publisher wired but idle — the
  * "observability is free until you scrape" claim.
  *
- * The scrape RTTs are simulated time (deterministic, tightly gated by
- * tools/bench_check); the gate-path figure is host wall clock and is
- * recorded as a wall_ throughput metric so the gate is one-sided.
+ * The scrape RTTs are simulated time (deterministic, gated for
+ * equality by tools/bench_check); the gate-path figure is host wall
+ * clock and is recorded as a wall_ throughput metric so the gate is
+ * one-sided.
  */
 
 #include <algorithm>
@@ -33,8 +34,8 @@ using namespace elisa::bench;
 
 using Layout = sim::TelemetryRegionLayout;
 
-const std::uint64_t scrapeIters = scaledCount(5000);
-const std::uint64_t gateIters = scaledCount(200000);
+constexpr std::uint64_t scrapeIters = 5000;
+constexpr std::uint64_t gateIters = 200000;
 
 constexpr std::uint32_t slotBytes = 128 * KiB;
 constexpr Gpa mirrorGpa = 0x5000000000ull;
@@ -55,13 +56,12 @@ wallNsPerGateCall(core::Gate &gate, std::uint64_t iters)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+namespace elisa::bench
 {
-    requireNoArgs(argc, argv);
-    setQuiet(true);
-    banner("O1", "telemetry scrape RTT per access scheme");
 
+void
+telemetry()
+{
     Testbed bed;
     sim::Tracer tracer(4096);
     sim::ExitLedger ledger;
@@ -228,5 +228,6 @@ main(int argc, char **argv)
     report.set("wall_gate_mops_telemetry", 1e3 / wired_ns);
 
     mirror.detach(monitor_vm, mirrorGpa);
-    return 0;
 }
+
+} // namespace elisa::bench

@@ -1,17 +1,18 @@
 /**
  * @file
- * Shared scaffolding for the figure/table benches: a standard testbed
- * (machine + ELISA service + manager VM) and uniform report printing,
- * so every experiment output looks the same and always states the
- * cost-model calibration it ran under.
+ * Shared scaffolding for the elisa_bench entries: a standard testbed
+ * (machine + ELISA service + manager VM), attach helpers, and the
+ * CSV, JSON-report and paper-check writers every entry reports
+ * through, so every experiment output looks the same.
  */
 
 #ifndef ELISA_BENCH_COMMON_HH
 #define ELISA_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -87,69 +88,36 @@ mustAttachWithCapability(core::ElisaGuest &guest,
 }
 
 /**
- * Exit with status 2 and a usage line if any argument was given. The
- * figure benches take no flags (ELISA_BENCH_QUICK=1 selects the
- * reduced sweep), so an ignored flag would silently run another sweep
- * than the one asked for.
+ * Write @p text to bench_results/@p name (next to the working
+ * directory) and return that path. An entry that cannot write its
+ * output fails: an open, write or close error is fatal, so a stale
+ * committed file is never mistaken for a fresh one.
  */
-inline void
-requireNoArgs(int argc, char **argv)
+inline std::string
+writeResult(const std::string &name, const std::string &text)
 {
-    if (argc <= 1)
-        return;
-    std::fprintf(stderr,
-                 "%s: unknown argument '%s'\n"
-                 "usage: %s   (takes no arguments; set "
-                 "ELISA_BENCH_QUICK=1 for the reduced sweep)\n",
-                 argv[0], argv[1], argv[0]);
-    std::exit(2);
+    std::error_code ec;
+    std::filesystem::create_directories("bench_results", ec);
+    const std::string path = "bench_results/" + name;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    fatal_if(!f, "could not open %s: %s", path.c_str(),
+             std::strerror(errno));
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    fatal_if(std::fclose(f) != 0 || !written, "could not write %s",
+             path.c_str());
+    return path;
 }
 
 /**
- * Scale an iteration/packet/op count down when ELISA_BENCH_QUICK is
- * set in the environment (smoke runs, CI): one tenth of the full
- * count, floored at 2000 so percentiles stay meaningful.
- */
-inline std::uint64_t
-scaledCount(std::uint64_t full)
-{
-    if (std::getenv("ELISA_BENCH_QUICK") == nullptr)
-        return full;
-    const std::uint64_t reduced = full / 10;
-    return reduced < 2000 ? std::min<std::uint64_t>(full, 2000)
-                          : reduced;
-}
-
-/** Print the standard experiment banner. */
-inline void
-banner(const char *exp_id, const char *title)
-{
-    const char *rule = "==================================================="
-                       "===========";
-    std::printf("%s\n%s: %s\n%s\n%s\n", rule, exp_id, title,
-                sim::CostModel{}.summary().c_str(), rule);
-}
-
-/**
- * Save a figure's data as CSV under bench_results/ (next to the
- * working directory), so the series can be re-plotted without
- * scraping stdout. Failures to write are reported but non-fatal.
+ * Save a figure's data as bench_results/<exp_id>.csv, so the series
+ * can be re-plotted without scraping stdout.
  */
 inline void
 saveCsv(const TextTable &table, const char *exp_id)
 {
-    std::error_code ec;
-    std::filesystem::create_directories("bench_results", ec);
     const std::string path =
-        std::string("bench_results/") + exp_id + ".csv";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("could not write %s", path.c_str());
-        return;
-    }
-    const std::string csv = table.renderCsv();
-    std::fwrite(csv.data(), 1, csv.size(), f);
-    std::fclose(f);
+        writeResult(std::string(exp_id) + ".csv", table.renderCsv());
     std::printf("  [csv] series saved to %s\n", path.c_str());
 }
 
@@ -162,16 +130,13 @@ saveCsv(const TextTable &table, const char *exp_id)
  * integral values print with no fraction, everything else as %.6g —
  * so identical runs produce byte-identical files and
  * tools/bench_check can diff them against the committed baselines in
- * bench_results/baselines/. A "quick" flag records whether
- * ELISA_BENCH_QUICK trimmed the iteration counts, so the gate never
- * silently compares a smoke run against a full-count baseline.
+ * bench_results/baselines/.
  */
 class BenchReport
 {
   public:
     explicit BenchReport(std::string bench_name)
-        : benchName(std::move(bench_name)),
-          quick(std::getenv("ELISA_BENCH_QUICK") != nullptr)
+        : benchName(std::move(bench_name))
     {
     }
 
@@ -193,8 +158,6 @@ class BenchReport
     {
         std::string out = "{\n";
         out += "  \"bench\": \"" + benchName + "\",\n";
-        out += std::string("  \"quick\": ") +
-               (quick ? "true" : "false") + ",\n";
         out += "  \"metrics\": {";
         bool first = true;
         for (const auto &[key, value] : values) {
@@ -214,18 +177,8 @@ class BenchReport
         if (saved)
             return;
         saved = true;
-        std::error_code ec;
-        std::filesystem::create_directories("bench_results", ec);
         const std::string path =
-            "bench_results/BENCH_" + benchName + ".json";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            warn("could not write %s", path.c_str());
-            return;
-        }
-        const std::string doc = json();
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
+            writeResult("BENCH_" + benchName + ".json", json());
         std::printf("  [json] bench report saved to %s\n", path.c_str());
     }
 
@@ -241,7 +194,6 @@ class BenchReport
     }
 
     std::string benchName;
-    bool quick;
     bool saved = false;
     std::map<std::string, double> values;
 };

@@ -27,7 +27,7 @@ namespace elisa::bench
 inline constexpr std::uint64_t kvsBuckets = 1 << 15;
 inline constexpr std::uint64_t kvsKeySpace = 1 << 15;
 inline constexpr unsigned kvsMaxVms = 8;
-inline const std::uint64_t kvsOpsPerClient = scaledCount(30000);
+inline constexpr std::uint64_t kvsOpsPerClient = 30000;
 
 /** Per-scheme aggregate Mops at one VM count. */
 struct KvsPoint

@@ -19,7 +19,7 @@ namespace elisa::bench
 {
 
 /** Requests per load point (plus warm-up). */
-inline const std::uint64_t mcRequests = scaledCount(12000);
+inline constexpr std::uint64_t mcRequests = 12000;
 
 /** Key space of the memcached store. */
 inline constexpr std::uint64_t mcKeySpace = 4096;

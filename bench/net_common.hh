@@ -25,7 +25,7 @@ inline constexpr std::uint32_t netSizes[] = {64,  128,  256,
                                              512, 1024, 1472};
 
 /** Packets per figure point. */
-inline const std::uint64_t netPackets = scaledCount(60000);
+inline constexpr std::uint64_t netPackets = 60000;
 
 /** The five schemes on one guest VM. */
 struct PathSet

@@ -1,60 +1,7 @@
 #include "sim/stats.hh"
 
-#include <cmath>
-
 namespace elisa::sim
 {
-
-void
-RunningStats::add(double x)
-{
-    ++n;
-    total += x;
-    const double delta = x - m;
-    m += delta / static_cast<double>(n);
-    m2 += delta * (x - m);
-    if (x < minV)
-        minV = x;
-    if (x > maxV)
-        maxV = x;
-}
-
-double
-RunningStats::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    return m2 / static_cast<double>(n);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(other.n);
-    const double delta = other.m - m;
-    const double combined = na + nb;
-    m += delta * nb / combined;
-    m2 += other.m2 + delta * delta * na * nb / combined;
-    n += other.n;
-    total += other.total;
-    if (other.minV < minV)
-        minV = other.minV;
-    if (other.maxV > maxV)
-        maxV = other.maxV;
-}
 
 StatId
 StatSet::id(const std::string &name)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics: named counters and running scalar statistics.
+ * Lightweight statistics: named integer counters.
  *
  * Counters are *interned*: a name is resolved to a dense StatId once
  * (at subsystem construction), and hot paths increment by array index.
@@ -12,55 +12,12 @@
 #define ELISA_SIM_STATS_HH
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace elisa::sim
 {
-
-/**
- * Running statistics over a stream of samples (Welford's algorithm).
- */
-class RunningStats
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    /** Number of samples seen. */
-    std::uint64_t count() const { return n; }
-
-    /** Mean of samples (0 if empty). */
-    double mean() const { return n ? m : 0.0; }
-
-    /** Population variance (0 if fewer than 2 samples). */
-    double variance() const;
-
-    /** Population standard deviation. */
-    double stddev() const;
-
-    /** Smallest sample (+inf if empty). */
-    double min() const { return minV; }
-
-    /** Largest sample (-inf if empty). */
-    double max() const { return maxV; }
-
-    /** Sum of all samples. */
-    double sum() const { return total; }
-
-    /** Merge another RunningStats into this one. */
-    void merge(const RunningStats &other);
-
-  private:
-    std::uint64_t n = 0;
-    double m = 0.0;
-    double m2 = 0.0;
-    double total = 0.0;
-    double minV = std::numeric_limits<double>::infinity();
-    double maxV = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * Dense handle of one counter within a StatSet. Obtained once via

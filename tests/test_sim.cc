@@ -101,37 +101,6 @@ TEST(Rng, ExponentialMeanConverges)
     EXPECT_NEAR(sum / n, 100.0, 5.0);
 }
 
-TEST(RunningStats, MeanVarianceMinMax)
-{
-    RunningStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombinedStream)
-{
-    Rng r(5);
-    RunningStats all, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = r.uniform() * 100;
-        all.add(x);
-        (i % 2 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(StatSet, IncrementAndClear)
 {
     StatSet s;

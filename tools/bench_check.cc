@@ -2,30 +2,27 @@
  * @file
  * bench_check — the bench-regression gate.
  *
- * Benches emit deterministic `BENCH_<name>.json` reports (see
- * bench::BenchReport). This tool compares every report in a baseline
- * directory against the freshly generated ones and fails when any
- * metric deviates beyond the noise threshold — in EITHER direction:
- * the simulator is deterministic, so an unexplained "improvement" is
- * just as much a model change as a regression, and both mean the
- * committed baselines need a deliberate re-bless.
+ * `elisa_bench` entries emit deterministic `BENCH_<name>.json` reports
+ * (see bench::BenchReport). This tool compares every report in a
+ * baseline directory against the freshly generated one of the same
+ * name:
  *
- *   bench_check [--baselines DIR] [--current DIR] [--tolerance PCT]
- *               [--quick-tolerance PCT] [--wall-tolerance PCT]
+ *   bench_check [--baselines DIR] [--current DIR]
  *
- * Defaults: baselines bench_results/baselines, current bench_results,
- * tolerance 2 %, quick-tolerance 5 % (applied when one side ran with
- * ELISA_BENCH_QUICK and the other did not — trimmed iteration counts
- * shift amortized warmup slightly).
+ * Defaults: baselines bench_results/baselines, current bench_results.
  *
- * Metrics whose key starts with "wall_" are host wall-clock derived
- * (sim/wall ratios, host throughput): inherently noisy and
- * machine-dependent, so they get their own generous tolerance
- * (--wall-tolerance, default 60 %) and are gated one-sided — only a
- * drop below baseline fails; running on a faster or wider box passes.
+ * Every metric must equal its baseline exactly: the simulator is
+ * deterministic and both sides are full runs, so any difference, in
+ * EITHER direction, is a model change that needs a deliberate
+ * re-bless of the committed baselines. The one exception is a metric
+ * whose key starts with "wall_": it is derived from the host's wall
+ * clock (sim/wall ratios, host throughput), so it is gated one-sided
+ * — it fails only when it falls more than 60 % below its baseline,
+ * and a faster or wider box passes.
  *
- * Exit codes: 0 all metrics within tolerance; 1 regression (or a
- * baseline bench that was not run); 2 usage or I/O error.
+ * Exit codes: 0 every metric passes; 1 a metric fails, or a baseline
+ * metric or report is missing from the current run; 2 usage error or
+ * an unreadable or malformed report.
  */
 
 #include <algorithm>
@@ -33,7 +30,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -51,14 +47,13 @@ namespace fs = std::filesystem;
 struct Report
 {
     std::string bench;
-    bool quick = false;
     std::map<std::string, double> metrics;
 };
 
 /**
  * Minimal parser for the restricted BenchReport grammar: one object
- * with a "bench" string, a "quick" bool and a flat "metrics" object
- * of numbers. Anything else is a malformed report.
+ * with a "bench" string and a flat "metrics" object of numbers.
+ * Anything else is a malformed report.
  */
 class Parser
 {
@@ -89,11 +84,6 @@ class Parser
                 if (!value)
                     return std::nullopt;
                 report.bench = *value;
-            } else if (*key == "quick") {
-                auto value = parseBool();
-                if (!value)
-                    return std::nullopt;
-                report.quick = *value;
             } else if (*key == "metrics") {
                 if (!parseMetrics(report.metrics))
                     return std::nullopt;
@@ -144,21 +134,6 @@ class Parser
             return std::nullopt;
         ++pos; // closing quote
         return out;
-    }
-
-    std::optional<bool>
-    parseBool()
-    {
-        skipWs();
-        if (text.compare(pos, 4, "true") == 0) {
-            pos += 4;
-            return true;
-        }
-        if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
-            return false;
-        }
-        return std::nullopt;
     }
 
     std::optional<double>
@@ -222,16 +197,21 @@ isBenchJson(const fs::path &path)
            path.extension() == ".json";
 }
 
-double
-parsePct(const char *arg)
+/** A wall_ metric fails more than this many percent below baseline. */
+constexpr double wallFloorPct = 60.0;
+
+/** Load @p path, or exit 2 if it does not parse as a report. */
+Report
+mustLoad(const fs::path &path)
 {
-    char *end = nullptr;
-    const double value = std::strtod(arg, &end);
-    if (end == arg || *end != '\0' || value < 0.0) {
-        std::fprintf(stderr, "bench_check: bad percentage '%s'\n", arg);
+    std::optional<Report> report = loadReport(path);
+    if (!report) {
+        std::fprintf(stderr, "bench_check: unreadable or malformed "
+                             "report %s\n",
+                     path.string().c_str());
         std::exit(2);
     }
-    return value;
+    return *report;
 }
 
 } // anonymous namespace
@@ -241,37 +221,16 @@ main(int argc, char **argv)
 {
     std::string baseline_dir = "bench_results/baselines";
     std::string current_dir = "bench_results";
-    double tolerance_pct = 2.0;
-    double quick_tolerance_pct = 5.0;
-    double wall_tolerance_pct = 60.0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "bench_check: %s needs an argument\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--baselines") {
-            baseline_dir = next();
-        } else if (arg == "--current") {
-            current_dir = next();
-        } else if (arg == "--tolerance") {
-            tolerance_pct = parsePct(next());
-        } else if (arg == "--quick-tolerance") {
-            quick_tolerance_pct = parsePct(next());
-        } else if (arg == "--wall-tolerance") {
-            wall_tolerance_pct = parsePct(next());
+        if (arg == "--baselines" && i + 1 < argc) {
+            baseline_dir = argv[++i];
+        } else if (arg == "--current" && i + 1 < argc) {
+            current_dir = argv[++i];
         } else {
-            std::fprintf(
-                stderr,
-                "usage: bench_check [--baselines DIR] [--current DIR]"
-                " [--tolerance PCT] [--quick-tolerance PCT]"
-                " [--wall-tolerance PCT]\n");
+            std::fprintf(stderr, "usage: bench_check [--baselines DIR]"
+                                 " [--current DIR]\n");
             return 2;
         }
     }
@@ -299,34 +258,23 @@ main(int argc, char **argv)
     unsigned checked = 0;
     unsigned failures = 0;
     for (const fs::path &base_path : baselines) {
-        const auto base = loadReport(base_path);
-        if (!base) {
-            std::fprintf(stderr, "bench_check: malformed baseline %s\n",
-                         base_path.string().c_str());
-            return 2;
-        }
+        const Report base = mustLoad(base_path);
         const fs::path cur_path =
             fs::path(current_dir) / base_path.filename();
-        const auto cur = loadReport(cur_path);
-        if (!cur) {
-            std::printf("FAIL %-16s missing or malformed current report"
-                        " (%s)\n",
-                        base->bench.c_str(),
-                        cur_path.string().c_str());
+        if (!fs::exists(cur_path, ec)) {
+            std::printf("FAIL %-16s missing current report (%s)\n",
+                        base.bench.c_str(), cur_path.string().c_str());
             ++failures;
             continue;
         }
-        const double tol = base->quick != cur->quick
-                               ? std::max(tolerance_pct,
-                                          quick_tolerance_pct)
-                               : tolerance_pct;
-        for (const auto &[key, want] : base->metrics) {
+        const Report cur = mustLoad(cur_path);
+        for (const auto &[key, want] : base.metrics) {
             ++checked;
-            const auto it = cur->metrics.find(key);
-            if (it == cur->metrics.end()) {
+            const auto it = cur.metrics.find(key);
+            if (it == cur.metrics.end()) {
                 std::printf("FAIL %-16s %-32s missing from current "
                             "report\n",
-                            base->bench.c_str(), key.c_str());
+                            base.bench.c_str(), key.c_str());
                 ++failures;
                 continue;
             }
@@ -335,28 +283,20 @@ main(int argc, char **argv)
                 want == 0.0 ? (got == 0.0 ? 0.0 : 100.0)
                             : (got - want) / std::fabs(want) * 100.0;
             const bool wall = key.rfind("wall_", 0) == 0;
-            const bool bad = wall
-                                 ? -dev_pct > wall_tolerance_pct
-                                 : std::fabs(dev_pct) > tol;
-            if (bad) {
-                std::printf("FAIL %-16s %-32s baseline=%.6g got=%.6g "
-                            "(%+.2f%% > %s%.1f%%)\n",
-                            base->bench.c_str(), key.c_str(), want, got,
-                            dev_pct, wall ? "-" : "±",
-                            wall ? wall_tolerance_pct : tol);
+            const bool bad = wall ? -dev_pct > wallFloorPct : got != want;
+            std::printf("%s %-16s %-32s baseline=%.15g got=%.15g "
+                        "(%+.2f%%%s)\n",
+                        bad ? "FAIL" : "  ok", base.bench.c_str(),
+                        key.c_str(), want, got, dev_pct,
+                        wall ? ", wall" : "");
+            if (bad)
                 ++failures;
-            } else {
-                std::printf("  ok %-16s %-32s baseline=%.6g got=%.6g "
-                            "(%+.2f%%%s)\n",
-                            base->bench.c_str(), key.c_str(), want, got,
-                            dev_pct, wall ? ", wall" : "");
-            }
         }
-        for (const auto &[key, value] : cur->metrics) {
-            if (!base->metrics.count(key)) {
-                std::printf("WARN %-16s %-32s new metric (%.6g) has no "
+        for (const auto &[key, value] : cur.metrics) {
+            if (!base.metrics.count(key)) {
+                std::printf("WARN %-16s %-32s new metric (%.15g) has no "
                             "baseline — re-bless baselines\n",
-                            cur->bench.c_str(), key.c_str(), value);
+                            cur.bench.c_str(), key.c_str(), value);
             }
         }
     }

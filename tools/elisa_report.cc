@@ -91,7 +91,7 @@ ledgerGateSection()
     core::Gate gate = mustAttach(guest, core::ExportKey("noop"), bed.manager);
     cpu::Vcpu &cpu = guest.vcpu();
 
-    const std::uint64_t iterations = scaledCount(100000);
+    constexpr std::uint64_t iterations = 100000;
     gate.call(0); // warm translation caches
     ledger.clear(); // drop setup-time negotiation hypercalls
     for (std::uint64_t i = 0; i < iterations; ++i)
@@ -138,7 +138,7 @@ ledgerHypernfSection()
     net::DirectPath direct(bed.hv, vm);
     net::VmcallPath vmcall(bed.hv, vm);
     net::PhysNic nic(heavy);
-    const std::uint64_t packets = scaledCount(60000);
+    constexpr std::uint64_t packets = 60000;
 
     nic.reset();
     const auto r_direct = net::runRx(direct, nic, 64, packets);
@@ -263,7 +263,7 @@ prometheusSection()
     core::Gate gate = mustAttach(guest, core::ExportKey("noop"), bed.manager);
     cpu::Vcpu &cpu = guest.vcpu();
 
-    const std::uint64_t iterations = scaledCount(10000);
+    constexpr std::uint64_t iterations = 10000;
     for (std::uint64_t i = 0; i < iterations; ++i)
         gate.call(0);
     for (std::uint64_t i = 0; i < iterations; ++i)
@@ -299,7 +299,7 @@ csvSection(SimNs period)
     bed.hv.attachMetrics(metrics);
     sim::MetricsCsvSampler sampler(metrics);
     const auto r = kvs::runKvsWorkload(
-        ptrs, kvs::Mix::Mixed9010, buckets, scaledCount(20000), 42,
+        ptrs, kvs::Mix::Mixed9010, buckets, 20000, 42,
         period, [&](SimNs now) { sampler.sample(now); });
     fatal_if(r.corrupt || r.failed, "KVS workload misbehaved");
     std::fputs(sampler.csv().c_str(), stdout);
@@ -361,7 +361,7 @@ scrapeSection()
 
     bed.hv.attachMetrics(metrics);
 
-    const std::uint64_t iterations = scaledCount(20000);
+    constexpr std::uint64_t iterations = 20000;
     cpu::Vcpu &cpu = worker.vcpu();
     for (std::uint64_t i = 0; i < iterations; ++i)
         noop.call(0);
