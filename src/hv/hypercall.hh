@@ -28,12 +28,6 @@ enum class Hc : std::uint64_t
     /** Returns the calling VM's id. */
     GetVmId = 1,
 
-    /** Send a message on a channel: (chan, buf_gpa, len). */
-    ChanSend = 2,
-
-    /** Receive from a channel: (chan, buf_gpa, cap) -> len | ~0. */
-    ChanRecv = 3,
-
     /** First number of the ELISA negotiation range. */
     ElisaBase = 0x100,
 

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "cpu/guest_view.hh"
 
 namespace elisa::hv
 {
@@ -413,51 +412,11 @@ Hypervisor::inveptGlobal()
     }
 }
 
-ChannelId
-Hypervisor::createChannel(std::size_t capacity)
-{
-    fatal_if(capacity == 0, "channel capacity must be positive");
-    channels.push_back(Channel{capacity, {}});
-    return static_cast<ChannelId>(channels.size() - 1);
-}
-
-bool
-Hypervisor::channelPush(ChannelId id, std::vector<std::uint8_t> msg)
-{
-    panic_if(id >= channels.size(), "bad channel id %u", id);
-    Channel &chan = channels[id];
-    if (chan.queue.size() >= chan.capacity)
-        return false;
-    chan.queue.push_back(std::move(msg));
-    return true;
-}
-
-std::optional<std::vector<std::uint8_t>>
-Hypervisor::channelPop(ChannelId id)
-{
-    panic_if(id >= channels.size(), "bad channel id %u", id);
-    Channel &chan = channels[id];
-    if (chan.queue.empty())
-        return std::nullopt;
-    std::vector<std::uint8_t> msg = std::move(chan.queue.front());
-    chan.queue.pop_front();
-    return msg;
-}
-
-std::size_t
-Hypervisor::channelDepth(ChannelId id) const
-{
-    panic_if(id >= channels.size(), "bad channel id %u", id);
-    return channels[id].queue.size();
-}
-
 void
 Hypervisor::registerBaseHypercalls()
 {
     setHypercallName(Hc::Nop, "hc_nop");
     setHypercallName(Hc::GetVmId, "hc_get_vm_id");
-    setHypercallName(Hc::ChanSend, "hc_chan_send");
-    setHypercallName(Hc::ChanRecv, "hc_chan_recv");
 
     registerHypercall(Hc::Nop,
                       [](cpu::Vcpu &, const cpu::HypercallArgs &) {
@@ -468,40 +427,6 @@ Hypervisor::registerBaseHypercalls()
                       [](cpu::Vcpu &vcpu, const cpu::HypercallArgs &) {
                           return std::uint64_t{vcpu.vm()};
                       });
-
-    // ChanSend(chan, buf_gpa, len): copy out of the calling guest.
-    registerHypercall(
-        Hc::ChanSend,
-        [this](cpu::Vcpu &vcpu, const cpu::HypercallArgs &args) {
-            const auto chan = static_cast<ChannelId>(args.arg0);
-            if (chan >= channels.size())
-                return hcError;
-            std::vector<std::uint8_t> buf(args.arg2);
-            cpu::GuestView view(vcpu);
-            if (!buf.empty())
-                view.readBytes(args.arg1, buf.data(), buf.size());
-            return channelPush(chan, std::move(buf)) ? std::uint64_t{0}
-                                                     : hcError;
-        });
-
-    // ChanRecv(chan, buf_gpa, cap) -> length received, or hcError when
-    // the channel is empty.
-    registerHypercall(
-        Hc::ChanRecv,
-        [this](cpu::Vcpu &vcpu, const cpu::HypercallArgs &args) {
-            const auto chan = static_cast<ChannelId>(args.arg0);
-            if (chan >= channels.size())
-                return hcError;
-            auto msg = channelPop(chan);
-            if (!msg)
-                return hcError;
-            const std::uint64_t len =
-                std::min<std::uint64_t>(msg->size(), args.arg2);
-            cpu::GuestView view(vcpu);
-            if (len > 0)
-                view.writeBytes(args.arg1, msg->data(), len);
-            return len;
-        });
 }
 
 } // namespace elisa::hv

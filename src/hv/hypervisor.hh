@@ -1,14 +1,13 @@
 /**
  * @file
  * The hypervisor: machine resources, VM lifecycle, hypercall dispatch,
- * EPTP-list management, INVEPT, and inter-VM channels.
+ * EPTP-list management and INVEPT.
  */
 
 #ifndef ELISA_HV_HYPERVISOR_HH
 #define ELISA_HV_HYPERVISOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,9 +32,6 @@
 
 namespace elisa::hv
 {
-
-/** Identifier of an inter-VM channel. */
-using ChannelId = std::uint32_t;
 
 /**
  * The machine + hypervisor. Owns physical memory, the frame allocator,
@@ -257,30 +253,8 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     /** INVEPT global across every vCPU. */
     void inveptGlobal();
 
-    // ---- inter-VM channels (negotiation slow path) -------------------
-    /**
-     * Create a message channel.
-     * @param capacity maximum queued messages.
-     */
-    ChannelId createChannel(std::size_t capacity = 64);
-
-    /** Host-side: push a message (no cost accounting). */
-    bool channelPush(ChannelId id, std::vector<std::uint8_t> msg);
-
-    /** Host-side: pop a message if available. */
-    std::optional<std::vector<std::uint8_t>> channelPop(ChannelId id);
-
-    /** Messages currently queued in @p id. */
-    std::size_t channelDepth(ChannelId id) const;
-
   private:
-    struct Channel
-    {
-        std::size_t capacity;
-        std::deque<std::vector<std::uint8_t>> queue;
-    };
-
-    /** Install the Nop/GetVmId/Chan* base handlers. */
+    /** Install the Nop/GetVmId base handlers. */
     void registerBaseHypercalls();
 
     sim::CostModel costModel;
@@ -292,7 +266,6 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     VmId nextVmId = 0;
     VcpuId nextVcpuId = 0;
     std::map<std::uint64_t, HypercallHandler> hypercalls;
-    std::vector<Channel> channels;
     std::uint64_t nextServiceNr =
         static_cast<std::uint64_t>(Hc::ServiceBase);
     std::vector<VmDestroyHook> destroyHooks;

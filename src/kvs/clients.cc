@@ -1,9 +1,65 @@
 #include "kvs/clients.hh"
 
+#include <memory>
+#include <vector>
+
 #include "base/logging.hh"
+#include "sim/resource.hh"
 
 namespace elisa::kvs
 {
+
+namespace
+{
+
+/** Guest GPA of the direct-mapped table window. */
+constexpr Gpa kvsWindowGpa = 0x520000000000ull;
+
+/** Striped simulated-time locks guarding bucket writes. */
+constexpr std::size_t lockStripes = 4096;
+
+/**
+ * The ShmKvs operations: GET, PUT, remove, CAS. Writes hold their
+ * bucket's lock from one set of striped locks the table's ops share.
+ */
+StoreOps
+shmKvsOps()
+{
+    auto locks = std::make_shared<std::vector<sim::SimLock>>(lockStripes);
+    // A write holds its bucket's lock across the put-cost lump.
+    auto locked = [locks](bool (*write)(RegionIo &, OpArgs &)) {
+        return [locks, write](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+            sim::SimLock &lock =
+                (*locks)[ShmKvs::bucketOf(io, a.key) % locks->size()];
+            lock.acquire(cpu.clock());
+            cpu.clock().advance(cpu.costModel().kvsPutCoreNs);
+            const bool ok = write(io, a);
+            lock.release(cpu.clock());
+            return ok;
+        };
+    };
+    return {
+        {0, true,
+         [](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+             cpu.clock().advance(cpu.costModel().kvsGetCoreNs);
+             auto value = ShmKvs::get(io, a.key);
+             if (value)
+                 a.value = *value;
+             return value.has_value();
+         }},
+        {1, false, locked([](RegionIo &io, OpArgs &a) {
+             return ShmKvs::put(io, a.key, a.value);
+         })},
+        {0, false, locked([](RegionIo &io, OpArgs &a) {
+             return ShmKvs::remove(io, a.key);
+         })},
+        {2, false, locked([](RegionIo &io, OpArgs &a) {
+             return ShmKvs::cas(io, a.key, a.value, a.desired);
+         })},
+    };
+}
+
+} // anonymous namespace
 
 void
 prepopulate(net::RegionIo &host_io, std::uint64_t count)
@@ -17,412 +73,108 @@ prepopulate(net::RegionIo &host_io, std::uint64_t count)
     }
 }
 
-// ---- direct mapping ---------------------------------------------------
+// ---- the flat tables and their clients ---------------------------------
 
-DirectKvsTable::DirectKvsTable(hv::Hypervisor &hv,
-                               std::uint64_t bucket_count)
-    : hyper(hv), bucketCount(bucket_count),
-      locks(std::make_shared<KvsLockTable>())
+TableClient::TableClient(StoreClient &&store_client)
+    : client(std::move(store_client)), stats(client.vcpu().stats())
 {
-    const std::uint64_t bytes =
-        pageAlignUp(ShmKvs::regionBytesFor(bucket_count));
-    region = std::make_unique<hv::IvshmemRegion>(hv, "kvs-table", bytes);
-    host = std::make_unique<net::HostRegionIo>(hv.memory(),
-                                               region->base());
-    ShmKvs::format(*host, bucket_count);
+    static constexpr const char *names[] = {"kvs_gets", "kvs_puts",
+                                            "kvs_removes", "kvs_cas"};
+    for (unsigned op = 0; op < opStats.size(); ++op)
+        opStats[op] = stats.id(names[op]);
 }
 
-DirectKvsTable::~DirectKvsTable()
+const char *
+TableClient::scheme() const
 {
-    for (VmId id : attached)
-        region->detach(hyper.vm(id), kvsWindowGpa);
+    return schemeName(client.store().scheme());
 }
 
 void
-DirectKvsTable::ensureAttached(hv::Vm &vm)
+TableClient::count(unsigned op)
 {
-    if (attached.contains(vm.id()))
-        return;
-    fatal_if(!region->attach(vm, kvsWindowGpa),
-             "KVS window collision in VM '%s'", vm.name().c_str());
-    attached.insert(vm.id());
-}
-
-DirectKvsClient::DirectKvsClient(DirectKvsTable &table_, hv::Vm &vm,
-                                 unsigned vcpu_index)
-    : table(table_), guestVm(vm), vcpuIndex(vcpu_index)
-{
-    table.ensureAttached(vm);
-    io = std::make_unique<net::GuestRegionIo>(vcpu(), kvsWindowGpa);
-    internCounters(vcpu().stats());
+    static constexpr sim::TraceName traces[] = {
+        sim::TraceName::KvsGet, sim::TraceName::KvsPut,
+        sim::TraceName::KvsRemove, sim::TraceName::KvsCas};
+    stats.inc(opStats[op]);
+    cpu::Vcpu &cpu = vcpu();
+    if (sim::Tracer *tr = cpu.tracer())
+        tr->instant(sim::SpanCat::Kvs, traces[op], cpu.id(), cpu.clock().now());
 }
 
 std::optional<Value>
-DirectKvsClient::get(const Key &key)
+TableClient::get(const Key &key)
 {
-    countGet(vcpu());
-    vcpu().clock().advance(table.hyper.cost().kvsGetCoreNs);
-    return ShmKvs::get(*io, key);
+    count(opGet);
+    return client.get(key);
 }
 
 bool
-DirectKvsClient::put(const Key &key, const Value &value)
+TableClient::put(const Key &key, const Value &value)
 {
-    countPut(vcpu());
-    const std::uint64_t bucket = ShmKvs::bucketOf(*io, key);
-    sim::SimLock &lock = table.lockTable().forBucket(bucket);
-    sim::SimClock &clock = vcpu().clock();
-    lock.acquire(clock);
-    clock.advance(table.hyper.cost().kvsPutCoreNs);
-    const bool ok = ShmKvs::put(*io, key, value);
-    lock.release(clock);
-    return ok;
+    count(opPut);
+    return client.put(key, value);
 }
 
 bool
-DirectKvsClient::remove(const Key &key)
+TableClient::remove(const Key &key)
 {
-    countRemove(vcpu());
-    const std::uint64_t bucket = ShmKvs::bucketOf(*io, key);
-    sim::SimLock &lock = table.lockTable().forBucket(bucket);
-    sim::SimClock &clock = vcpu().clock();
-    lock.acquire(clock);
-    clock.advance(table.hyper.cost().kvsPutCoreNs);
-    const bool ok = ShmKvs::remove(*io, key);
-    lock.release(clock);
-    return ok;
+    count(opRemove);
+    return client.remove(key);
 }
 
 bool
-DirectKvsClient::cas(const Key &key, const Value &expected,
-                     const Value &desired)
+TableClient::cas(const Key &key, const Value &expected,
+                 const Value &desired)
 {
-    countCas(vcpu());
-    const std::uint64_t bucket = ShmKvs::bucketOf(*io, key);
-    sim::SimLock &lock = table.lockTable().forBucket(bucket);
-    sim::SimClock &clock = vcpu().clock();
-    lock.acquire(clock);
-    clock.advance(table.hyper.cost().kvsPutCoreNs);
-    const bool ok = ShmKvs::cas(*io, key, expected, desired);
-    lock.release(clock);
-    return ok;
+    count(opCas);
+    return client.cas(key, expected, desired);
 }
 
-// ---- ELISA ----------------------------------------------------------
+DirectKvsTable::DirectKvsTable(hv::Hypervisor &hv,
+                               std::uint64_t bucket_count)
+    : Store(hv, Scheme::Direct, "kvs-table",
+            ShmKvs::regionBytesFor(bucket_count), shmKvsOps(), nullptr,
+            kvsWindowGpa)
+{
+    ShmKvs::format(hostIo(), bucket_count);
+}
+
+DirectKvsClient::DirectKvsClient(DirectKvsTable &table, hv::Vm &vm,
+                                 unsigned vcpu_index)
+    : TableClient(StoreClient(table, vm, vcpu_index))
+{
+}
 
 ElisaKvsTable::ElisaKvsTable(hv::Hypervisor &hv,
                              core::ElisaManager &manager,
                              std::string export_name,
                              std::uint64_t bucket_count)
-    : exportName(std::move(export_name)), bucketCount(bucket_count),
-      locks(std::make_shared<KvsLockTable>())
+    : Store(hv, Scheme::Elisa, export_name,
+            ShmKvs::regionBytesFor(bucket_count), shmKvsOps(), &manager)
 {
-    const sim::CostModel &cost = hv.cost();
-    auto lock_table = locks;
-
-    // The shared code running in the sub EPT context. The key (and,
-    // for put, the value) arrives in the caller's private exchange
-    // buffer; results return the same way.
-    core::SharedFnTable fns;
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 0: get
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        exch.read(ElisaKvsClient::keyOff, key.data(), keyBytes);
-        ctx.view.vcpu().clock().advance(cost.kvsGetCoreNs);
-        auto value = ShmKvs::get(obj, key);
-        if (!value)
-            return std::uint64_t{0};
-        exch.write(ElisaKvsClient::valueOff, value->data(), valueBytes);
-        return std::uint64_t{1};
-    });
-    fns.push_back([&cost, lock_table](core::SubCallCtx &ctx) { // 1: put
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        Value value;
-        exch.read(ElisaKvsClient::keyOff, key.data(), keyBytes);
-        exch.read(ElisaKvsClient::valueOff, value.data(), valueBytes);
-        sim::SimClock &clock = ctx.view.vcpu().clock();
-        sim::SimLock &lock =
-            lock_table->forBucket(ShmKvs::bucketOf(obj, key));
-        lock.acquire(clock);
-        clock.advance(cost.kvsPutCoreNs);
-        const bool ok = ShmKvs::put(obj, key, value);
-        lock.release(clock);
-        return ok ? std::uint64_t{1} : std::uint64_t{0};
-    });
-    fns.push_back([&cost, lock_table](core::SubCallCtx &ctx) { // 2: del
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        exch.read(ElisaKvsClient::keyOff, key.data(), keyBytes);
-        sim::SimClock &clock = ctx.view.vcpu().clock();
-        sim::SimLock &lock =
-            lock_table->forBucket(ShmKvs::bucketOf(obj, key));
-        lock.acquire(clock);
-        clock.advance(cost.kvsPutCoreNs);
-        const bool ok = ShmKvs::remove(obj, key);
-        lock.release(clock);
-        return ok ? std::uint64_t{1} : std::uint64_t{0};
-    });
-
-    fns.push_back([&cost, lock_table](core::SubCallCtx &ctx) { // 3: cas
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        Value expected;
-        Value desired;
-        exch.read(ElisaKvsClient::keyOff, key.data(), keyBytes);
-        exch.read(ElisaKvsClient::valueOff, expected.data(),
-                  valueBytes);
-        exch.read(ElisaKvsClient::desiredOff, desired.data(),
-                  valueBytes);
-        sim::SimClock &clock = ctx.view.vcpu().clock();
-        sim::SimLock &lock =
-            lock_table->forBucket(ShmKvs::bucketOf(obj, key));
-        lock.acquire(clock);
-        clock.advance(cost.kvsPutCoreNs);
-        const bool ok = ShmKvs::cas(obj, key, expected, desired);
-        lock.release(clock);
-        return ok ? std::uint64_t{1} : std::uint64_t{0};
-    });
-
-    const std::uint64_t bytes =
-        pageAlignUp(ShmKvs::regionBytesFor(bucket_count));
-    auto exported =
-        manager.exportObject(core::ExportKey(exportName), bytes, std::move(fns));
-    fatal_if(!exported, "exporting KVS table '%s' failed",
-             exportName.c_str());
-
-    host = std::make_unique<net::HostRegionIo>(
-        hv.memory(), manager.vm().ramGpaToHpa(exported->objectGpa));
-    ShmKvs::format(*host, bucket_count);
+    ShmKvs::format(hostIo(), bucket_count);
 }
 
 ElisaKvsClient::ElisaKvsClient(ElisaKvsTable &table,
                                core::ElisaManager &manager,
                                core::ElisaGuest &guest)
-    : guestRt(guest)
+    : TableClient(StoreClient(table, manager, guest))
 {
-    core::AttachResult attached = guest.tryAttach(core::ExportKey(table.name()), manager);
-    fatal_if(!attached, "attach to KVS table '%s' failed: %s",
-             table.name().c_str(), attached.reason().c_str());
-    gate = attached.take();
-    internCounters(vcpu().stats());
 }
-
-cpu::Vcpu &
-ElisaKvsClient::vcpu()
-{
-    return guestRt.vcpu();
-}
-
-std::optional<Value>
-ElisaKvsClient::get(const Key &key)
-{
-    countGet(vcpu());
-    gate.writeExchange(keyOff, key.data(), keyBytes);
-    if (gate.call(0) == 0)
-        return std::nullopt;
-    Value value;
-    gate.readExchange(valueOff, value.data(), valueBytes);
-    return value;
-}
-
-bool
-ElisaKvsClient::put(const Key &key, const Value &value)
-{
-    countPut(vcpu());
-    gate.writeExchange(keyOff, key.data(), keyBytes);
-    gate.writeExchange(valueOff, value.data(), valueBytes);
-    return gate.call(1) == 1;
-}
-
-bool
-ElisaKvsClient::remove(const Key &key)
-{
-    countRemove(vcpu());
-    gate.writeExchange(keyOff, key.data(), keyBytes);
-    return gate.call(2) == 1;
-}
-
-bool
-ElisaKvsClient::cas(const Key &key, const Value &expected,
-                    const Value &desired)
-{
-    countCas(vcpu());
-    gate.writeExchange(keyOff, key.data(), keyBytes);
-    gate.writeExchange(valueOff, expected.data(), valueBytes);
-    gate.writeExchange(desiredOff, desired.data(), valueBytes);
-    return gate.call(3) == 1;
-}
-
-// ---- host interposition (VMCALL) --------------------------------------
 
 VmcallKvsTable::VmcallKvsTable(hv::Hypervisor &hv,
                                std::uint64_t bucket_count)
-    : hyper(hv), bucketCount(bucket_count),
-      locks(std::make_shared<KvsLockTable>())
+    : Store(hv, Scheme::Vmcall, "kvs-table",
+            ShmKvs::regionBytesFor(bucket_count), shmKvsOps())
 {
-    const std::uint64_t bytes =
-        pageAlignUp(ShmKvs::regionBytesFor(bucket_count));
-    pages = bytes / pageSize;
-    auto frames = hv.allocator().alloc(pages);
-    fatal_if(!frames, "out of memory for host KVS table");
-    base = *frames;
-    host = std::make_unique<net::HostRegionIo>(hv.memory(), base);
-    ShmKvs::format(*host, bucket_count);
-
-    const sim::CostModel &cost = hv.cost();
-    auto lock_table = locks;
-    hcGet = hv.allocServiceNr();
-    hcPut = hv.allocServiceNr();
-    hcRemove = hv.allocServiceNr();
-    hcCas = hv.allocServiceNr();
-
-    // Buffer ABI: key at arg0 GPA, value at arg0 + 64.
-    hv.registerHypercall(
-        hcGet, [this, &cost](cpu::Vcpu &vcpu,
-                             const cpu::HypercallArgs &args) {
-            cpu::GuestView view(vcpu);
-            Key key;
-            view.readBytes(args.arg0, key.data(), keyBytes);
-            vcpu.clock().advance(cost.kvsGetCoreNs);
-            auto value = ShmKvs::get(*host, key);
-            if (!value)
-                return std::uint64_t{0};
-            view.writeBytes(args.arg0 + 64, value->data(), valueBytes);
-            return std::uint64_t{1};
-        });
-    hv.registerHypercall(
-        hcPut, [this, &cost, lock_table](cpu::Vcpu &vcpu,
-                                         const cpu::HypercallArgs &args) {
-            cpu::GuestView view(vcpu);
-            Key key;
-            Value value;
-            view.readBytes(args.arg0, key.data(), keyBytes);
-            view.readBytes(args.arg0 + 64, value.data(), valueBytes);
-            sim::SimLock &lock =
-                lock_table->forBucket(ShmKvs::bucketOf(*host, key));
-            lock.acquire(vcpu.clock());
-            vcpu.clock().advance(cost.kvsPutCoreNs);
-            const bool ok = ShmKvs::put(*host, key, value);
-            lock.release(vcpu.clock());
-            return ok ? std::uint64_t{1} : std::uint64_t{0};
-        });
-    hv.registerHypercall(
-        hcRemove,
-        [this, &cost, lock_table](cpu::Vcpu &vcpu,
-                                  const cpu::HypercallArgs &args) {
-            cpu::GuestView view(vcpu);
-            Key key;
-            view.readBytes(args.arg0, key.data(), keyBytes);
-            sim::SimLock &lock =
-                lock_table->forBucket(ShmKvs::bucketOf(*host, key));
-            lock.acquire(vcpu.clock());
-            vcpu.clock().advance(cost.kvsPutCoreNs);
-            const bool ok = ShmKvs::remove(*host, key);
-            lock.release(vcpu.clock());
-            return ok ? std::uint64_t{1} : std::uint64_t{0};
-        });
-
-    // Buffer ABI: key at arg0, expected at +64, desired at +128.
-    hv.registerHypercall(
-        hcCas,
-        [this, &cost, lock_table](cpu::Vcpu &vcpu,
-                                  const cpu::HypercallArgs &args) {
-            cpu::GuestView view(vcpu);
-            Key key;
-            Value expected;
-            Value desired;
-            view.readBytes(args.arg0, key.data(), keyBytes);
-            view.readBytes(args.arg0 + 64, expected.data(),
-                           valueBytes);
-            view.readBytes(args.arg0 + 128, desired.data(),
-                           valueBytes);
-            sim::SimLock &lock =
-                lock_table->forBucket(ShmKvs::bucketOf(*host, key));
-            lock.acquire(vcpu.clock());
-            vcpu.clock().advance(cost.kvsPutCoreNs);
-            const bool ok =
-                ShmKvs::cas(*host, key, expected, desired);
-            lock.release(vcpu.clock());
-            return ok ? std::uint64_t{1} : std::uint64_t{0};
-        });
-
+    ShmKvs::format(hostIo(), bucket_count);
 }
 
-VmcallKvsTable::~VmcallKvsTable()
-{
-    hyper.allocator().free(base, pages);
-}
-
-VmcallKvsClient::VmcallKvsClient(VmcallKvsTable &table_, hv::Vm &vm,
+VmcallKvsClient::VmcallKvsClient(VmcallKvsTable &table, hv::Vm &vm,
                                  unsigned vcpu_index)
-    : table(table_), guestVm(vm), vcpuIndex(vcpu_index)
+    : TableClient(StoreClient(table, vm, vcpu_index, operandBuffer(vm)))
 {
-    auto buf = vm.allocGuestMem(pageSize);
-    fatal_if(!buf, "VM '%s' out of RAM for KVS buffer",
-             vm.name().c_str());
-    bufGpa = *buf;
-    internCounters(vcpu().stats());
-}
-
-std::optional<Value>
-VmcallKvsClient::get(const Key &key)
-{
-    countGet(vcpu());
-    cpu::GuestView view(vcpu());
-    view.writeBytes(bufGpa, key.data(), keyBytes);
-    cpu::HypercallArgs args;
-    args.nr = table.getNr();
-    args.arg0 = bufGpa;
-    if (vcpu().vmcall(args) == 0)
-        return std::nullopt;
-    Value value;
-    view.readBytes(bufGpa + 64, value.data(), valueBytes);
-    return value;
-}
-
-bool
-VmcallKvsClient::put(const Key &key, const Value &value)
-{
-    countPut(vcpu());
-    cpu::GuestView view(vcpu());
-    view.writeBytes(bufGpa, key.data(), keyBytes);
-    view.writeBytes(bufGpa + 64, value.data(), valueBytes);
-    cpu::HypercallArgs args;
-    args.nr = table.putNr();
-    args.arg0 = bufGpa;
-    return vcpu().vmcall(args) == 1;
-}
-
-bool
-VmcallKvsClient::cas(const Key &key, const Value &expected,
-                     const Value &desired)
-{
-    countCas(vcpu());
-    cpu::GuestView view(vcpu());
-    view.writeBytes(bufGpa, key.data(), keyBytes);
-    view.writeBytes(bufGpa + 64, expected.data(), valueBytes);
-    view.writeBytes(bufGpa + 128, desired.data(), valueBytes);
-    cpu::HypercallArgs args;
-    args.nr = table.casNr();
-    args.arg0 = bufGpa;
-    return vcpu().vmcall(args) == 1;
-}
-
-bool
-VmcallKvsClient::remove(const Key &key)
-{
-    countRemove(vcpu());
-    cpu::GuestView view(vcpu());
-    view.writeBytes(bufGpa, key.data(), keyBytes);
-    cpu::HypercallArgs args;
-    args.nr = table.removeNr();
-    args.arg0 = bufGpa;
-    return vcpu().vmcall(args) == 1;
 }
 
 } // namespace elisa::kvs

@@ -16,101 +16,51 @@ namespace elisa::kvs
 namespace
 {
 
-// Exchange/marshalling-buffer ABI of the store calls (same shape as
-// the flat-table clients: key first, value one cache line later).
-constexpr std::uint64_t keyOff = 0;
-constexpr std::uint64_t valueOff = 64;
-
 /**
- * The shared functions a store node loads into its sub EPT context:
- * 0 = get, 1 = put (log append), 2 = remove (tombstone append). No
- * write locks: a shard has exactly one executor vCPU, so operations
- * are already serialized on its clock.
+ * The log store's operations: GET, PUT (log append) and remove
+ * (tombstone append). No write locks: a shard has exactly one executor
+ * vCPU, so operations are already serialized on its clock.
  */
-core::SharedFnTable
-makeLogStoreFns(const sim::CostModel &cost)
+StoreOps
+logKvsOps()
 {
-    core::SharedFnTable fns;
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 0: get
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        exch.read(keyOff, key.data(), keyBytes);
-        ctx.view.vcpu().clock().advance(cost.kvsGetCoreNs);
-        auto value = LogKvs::get(obj, key);
-        if (!value)
-            return std::uint64_t{0};
-        exch.write(valueOff, value->data(), valueBytes);
-        return std::uint64_t{1};
-    });
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 1: put
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        Value value;
-        exch.read(keyOff, key.data(), keyBytes);
-        exch.read(valueOff, value.data(), valueBytes);
-        ctx.view.vcpu().clock().advance(cost.kvsPutCoreNs);
-        return LogKvs::put(obj, key, value) ? std::uint64_t{1}
-                                            : std::uint64_t{0};
-    });
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 2: remove
-        net::GuestRegionIo obj(ctx.view.vcpu(), ctx.obj);
-        net::GuestRegionIo exch(ctx.view.vcpu(), ctx.exch);
-        Key key;
-        exch.read(keyOff, key.data(), keyBytes);
-        ctx.view.vcpu().clock().advance(cost.kvsPutCoreNs);
-        return LogKvs::remove(obj, key) ? std::uint64_t{1}
-                                        : std::uint64_t{0};
-    });
-    return fns;
-}
-
-/** Direct-scheme GPA window of store node @p n (1 GiB apart). */
-Gpa
-directWindowGpa(unsigned n)
-{
-    return 0x540000000000ull + std::uint64_t{n} * 0x40000000ull;
+    return {
+        {0, true,
+         [](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+             cpu.clock().advance(cpu.costModel().kvsGetCoreNs);
+             auto value = LogKvs::get(io, a.key);
+             if (value)
+                 a.value = *value;
+             return value.has_value();
+         }},
+        {1, false,
+         [](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+             cpu.clock().advance(cpu.costModel().kvsPutCoreNs);
+             return LogKvs::put(io, a.key, a.value);
+         }},
+        {0, false,
+         [](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+             cpu.clock().advance(cpu.costModel().kvsPutCoreNs);
+             return LogKvs::remove(io, a.key);
+         }},
+    };
 }
 
 } // namespace
-
-const char *
-clusterSchemeToString(ClusterScheme scheme)
-{
-    switch (scheme) {
-      case ClusterScheme::Elisa:
-        return "ELISA";
-      case ClusterScheme::Vmcall:
-        return "VMCALL";
-      case ClusterScheme::Direct:
-        return "ivshmem";
-    }
-    return "?";
-}
 
 // ---- one store node --------------------------------------------------
 
 struct KvsCluster::Node
 {
-    /** Privileged access (prepopulation, recovery, fingerprints). */
-    std::unique_ptr<net::HostRegionIo> host;
-
-    /** ELISA: the manager VM owning this copy, and the server's gate. */
+    /** ELISA: the manager VM holding this copy, and its runtime. */
     VmId vmId = invalidVmId;
     std::unique_ptr<core::ElisaManager> manager;
-    core::Gate gate;
 
-    /** VMCALL: per-node service numbers + host-private backing. */
-    std::uint64_t hcGet = 0, hcPut = 0, hcRemove = 0;
-    Hpa base = 0;
-    std::uint64_t pages = 0;
+    std::unique_ptr<Store> store;
+    std::unique_ptr<StoreClient> client; ///< the server vCPU's side
 
-    /** Direct: ivshmem region mapped into the server VM. */
-    std::unique_ptr<hv::IvshmemRegion> region;
-    std::unique_ptr<net::GuestRegionIo> guestIo;
-
-    bool alive = true;
+    /** Privileged access (prepopulation, recovery, fingerprints). */
+    RegionIo &host() { return store->hostIo(); }
 };
 
 // ---- one server machine (== one KVS shard) ---------------------------
@@ -118,7 +68,6 @@ struct KvsCluster::Node
 struct KvsCluster::ServerMachine
 {
     ServerMachine(const ClusterConfig &config, unsigned index);
-    ~ServerMachine();
 
     cpu::Vcpu &vcpu() { return serverVm.vcpu(0); }
 
@@ -128,9 +77,6 @@ struct KvsCluster::ServerMachine
 
     std::optional<Value> serveGet(const Key &key);
     bool servePut(const Key &key, const Value &value);
-
-    std::optional<Value> readFrom(Node &node, const Key &key);
-    bool appendTo(Node &node, const Key &key, const Value &value);
 
     /** Fail over any role whose VM is already gone (sync-point kill
      *  detection, before the op touches a store). */
@@ -143,7 +89,6 @@ struct KvsCluster::ServerMachine
     ClusterScheme scheme;
     std::uint64_t buckets;
     std::uint64_t logSlots;
-    std::uint64_t storeBytes;
     hv::Hypervisor hv;
     core::ElisaService svc;
     hv::Vm &serverVm;
@@ -155,7 +100,6 @@ struct KvsCluster::ServerMachine
     bool hasReplica = true, hasStandby = true;
 
     std::uint64_t stepHc = 0;
-    Gpa bufGpa = 0; ///< VMCALL marshalling buffer
 
     // Recovery bookkeeping (see failoverPrimary).
     std::uint64_t dyingFp = 0;
@@ -168,10 +112,7 @@ struct KvsCluster::ServerMachine
 KvsCluster::ServerMachine::ServerMachine(const ClusterConfig &config,
                                          unsigned index)
     : scheme(config.scheme), buckets(config.buckets),
-      logSlots(config.logSlots),
-      storeBytes(
-          pageAlignUp(LogKvs::regionBytesFor(buckets, logSlots))),
-      hv(192 * MiB), svc(hv),
+      logSlots(config.logSlots), hv(192 * MiB), svc(hv),
       serverVm(hv.createVm("server" + std::to_string(index), 32 * MiB))
 {
     stepHc = hv.allocServiceNr();
@@ -186,136 +127,43 @@ KvsCluster::ServerMachine::ServerMachine(const ClusterConfig &config,
     // the replica replay reconstructed identical logical content.
     hv.addVmDestroyHook([this](VmId id) {
         for (Node &node : nodes) {
-            if (node.vmId != id || !node.host)
-                continue;
-            node.alive = false;
-            if (LogKvs::formatted(*node.host)) {
-                dyingFp = LogKvs::fingerprint(*node.host);
+            if (node.vmId == id && node.store &&
+                LogKvs::formatted(node.host())) {
+                dyingFp = LogKvs::fingerprint(node.host());
                 dyingFpValid = true;
             }
         }
     });
 
-    switch (scheme) {
-      case ClusterScheme::Elisa: {
+    // ELISA puts each copy in its own manager VM behind a gate of the
+    // server's; VMCALL marshals every node's operands through one page.
+    Gpa buf = 0;
+    if (scheme == ClusterScheme::Elisa)
         guest = std::make_unique<core::ElisaGuest>(serverVm, svc);
-        for (unsigned n = 0; n < nodes.size(); ++n) {
-            Node &node = nodes[n];
+    if (scheme == ClusterScheme::Vmcall)
+        buf = operandBuffer(serverVm);
+    const std::uint64_t bytes = LogKvs::regionBytesFor(buckets, logSlots);
+    for (unsigned n = 0; n < nodes.size(); ++n) {
+        Node &node = nodes[n];
+        const std::string name =
+            "log" + std::to_string(index) + "-" + std::to_string(n);
+        if (guest) {
             hv::Vm &vm = hv.createVm("store" + std::to_string(index) +
                                          "-" + std::to_string(n),
                                      32 * MiB);
             node.vmId = vm.id();
             node.manager = std::make_unique<core::ElisaManager>(vm, svc);
-            const std::string name =
-                "log" + std::to_string(index) + "-" + std::to_string(n);
-            auto exported = node.manager->exportObject(
-                core::ExportKey(name), storeBytes, makeLogStoreFns(hv.cost()));
-            fatal_if(!exported, "exporting store '%s' failed",
-                     name.c_str());
-            node.host = std::make_unique<net::HostRegionIo>(
-                hv.memory(), vm.ramGpaToHpa(exported->objectGpa));
-            LogKvs::format(*node.host, buckets, logSlots);
-            auto attach = guest->tryAttach(core::ExportKey(name), *node.manager);
-            fatal_if(!attach, "attach to store '%s' failed: %s",
-                     name.c_str(), attach.reason().c_str());
-            node.gate = attach.take();
         }
-        break;
-      }
-      case ClusterScheme::Vmcall: {
-        auto buf = serverVm.allocGuestMem(pageSize);
-        fatal_if(!buf, "server VM out of RAM for the VMCALL buffer");
-        bufGpa = *buf;
-        const sim::CostModel &cost = hv.cost();
-        for (unsigned n = 0; n < nodes.size(); ++n) {
-            Node &node = nodes[n];
-            node.pages = storeBytes / pageSize;
-            auto frames = hv.allocator().alloc(node.pages);
-            fatal_if(!frames, "out of host memory for store node");
-            node.base = *frames;
-            node.host = std::make_unique<net::HostRegionIo>(hv.memory(),
-                                                            node.base);
-            LogKvs::format(*node.host, buckets, logSlots);
-            node.hcGet = hv.allocServiceNr();
-            node.hcPut = hv.allocServiceNr();
-            node.hcRemove = hv.allocServiceNr();
-            net::HostRegionIo *io = node.host.get();
-            hv.registerHypercall(
-                node.hcGet,
-                [io, &cost](cpu::Vcpu &vcpu,
-                            const cpu::HypercallArgs &args) {
-                    cpu::GuestView view(vcpu);
-                    Key key;
-                    view.readBytes(args.arg0, key.data(), keyBytes);
-                    vcpu.clock().advance(cost.kvsGetCoreNs);
-                    auto value = LogKvs::get(*io, key);
-                    if (!value)
-                        return std::uint64_t{0};
-                    view.writeBytes(args.arg0 + valueOff, value->data(),
-                                    valueBytes);
-                    return std::uint64_t{1};
-                });
-            hv.registerHypercall(
-                node.hcPut,
-                [io, &cost](cpu::Vcpu &vcpu,
-                            const cpu::HypercallArgs &args) {
-                    cpu::GuestView view(vcpu);
-                    Key key;
-                    Value value;
-                    view.readBytes(args.arg0, key.data(), keyBytes);
-                    view.readBytes(args.arg0 + valueOff, value.data(),
-                                   valueBytes);
-                    vcpu.clock().advance(cost.kvsPutCoreNs);
-                    return LogKvs::put(*io, key, value)
-                               ? std::uint64_t{1}
-                               : std::uint64_t{0};
-                });
-            hv.registerHypercall(
-                node.hcRemove,
-                [io, &cost](cpu::Vcpu &vcpu,
-                            const cpu::HypercallArgs &args) {
-                    cpu::GuestView view(vcpu);
-                    Key key;
-                    view.readBytes(args.arg0, key.data(), keyBytes);
-                    vcpu.clock().advance(cost.kvsPutCoreNs);
-                    return LogKvs::remove(*io, key)
-                               ? std::uint64_t{1}
-                               : std::uint64_t{0};
-                });
-        }
-        break;
-      }
-      case ClusterScheme::Direct: {
-        for (unsigned n = 0; n < nodes.size(); ++n) {
-            Node &node = nodes[n];
-            const std::string name = "log" + std::to_string(index) +
-                                     "-" + std::to_string(n);
-            node.region = std::make_unique<hv::IvshmemRegion>(
-                hv, name, storeBytes);
-            fatal_if(!node.region->attach(serverVm, directWindowGpa(n)),
-                     "store window collision for '%s'", name.c_str());
-            node.guestIo = std::make_unique<net::GuestRegionIo>(
-                vcpu(), directWindowGpa(n));
-            node.host = std::make_unique<net::HostRegionIo>(
-                hv.memory(), node.region->base());
-            LogKvs::format(*node.host, buckets, logSlots);
-        }
-        break;
-      }
-    }
-}
-
-KvsCluster::ServerMachine::~ServerMachine()
-{
-    if (scheme == ClusterScheme::Direct) {
-        for (unsigned n = 0; n < nodes.size(); ++n)
-            if (nodes[n].region)
-                nodes[n].region->detach(serverVm, directWindowGpa(n));
-    }
-    if (scheme == ClusterScheme::Vmcall) {
-        for (Node &node : nodes)
-            if (node.pages)
-                hv.allocator().free(node.base, node.pages);
+        // Direct-scheme windows sit 1 GiB apart in the server VM.
+        node.store = std::make_unique<Store>(
+            hv, scheme, name, bytes, logKvsOps(), node.manager.get(),
+            0x540000000000ull + std::uint64_t{n} * 0x40000000ull);
+        LogKvs::format(node.host(), buckets, logSlots);
+        node.client =
+            guest ? std::make_unique<StoreClient>(*node.store,
+                                                  *node.manager, *guest)
+                  : std::make_unique<StoreClient>(*node.store, serverVm,
+                                                  0, buf);
     }
 }
 
@@ -327,65 +175,6 @@ KvsCluster::ServerMachine::stepCall()
     cpu::HypercallArgs args;
     args.nr = stepHc;
     vcpu().vmcall(args);
-}
-
-std::optional<Value>
-KvsCluster::ServerMachine::readFrom(Node &node, const Key &key)
-{
-    switch (scheme) {
-      case ClusterScheme::Elisa: {
-        node.gate.writeExchange(keyOff, key.data(), keyBytes);
-        if (node.gate.call(0) == 0)
-            return std::nullopt;
-        Value value;
-        node.gate.readExchange(valueOff, value.data(), valueBytes);
-        return value;
-      }
-      case ClusterScheme::Vmcall: {
-        cpu::GuestView view(vcpu());
-        view.writeBytes(bufGpa, key.data(), keyBytes);
-        cpu::HypercallArgs args;
-        args.nr = node.hcGet;
-        args.arg0 = bufGpa;
-        if (vcpu().vmcall(args) == 0)
-            return std::nullopt;
-        Value value;
-        view.readBytes(bufGpa + valueOff, value.data(), valueBytes);
-        return value;
-      }
-      case ClusterScheme::Direct: {
-        vcpu().clock().advance(hv.cost().kvsGetCoreNs);
-        return LogKvs::get(*node.guestIo, key);
-      }
-    }
-    return std::nullopt;
-}
-
-bool
-KvsCluster::ServerMachine::appendTo(Node &node, const Key &key,
-                                    const Value &value)
-{
-    switch (scheme) {
-      case ClusterScheme::Elisa: {
-        node.gate.writeExchange(keyOff, key.data(), keyBytes);
-        node.gate.writeExchange(valueOff, value.data(), valueBytes);
-        return node.gate.call(1) == 1;
-      }
-      case ClusterScheme::Vmcall: {
-        cpu::GuestView view(vcpu());
-        view.writeBytes(bufGpa, key.data(), keyBytes);
-        view.writeBytes(bufGpa + valueOff, value.data(), valueBytes);
-        cpu::HypercallArgs args;
-        args.nr = node.hcPut;
-        args.arg0 = bufGpa;
-        return vcpu().vmcall(args) == 1;
-      }
-      case ClusterScheme::Direct: {
-        vcpu().clock().advance(hv.cost().kvsPutCoreNs);
-        return LogKvs::put(*node.guestIo, key, value);
-      }
-    }
-    return false;
 }
 
 void
@@ -412,7 +201,7 @@ KvsCluster::ServerMachine::serveGet(const Key &key)
     for (int attempt = 0; attempt < 2; ++attempt) {
         Node &p = nodes[primary];
         try {
-            return readFrom(p, key);
+            return p.client->get(key);
         } catch (const cpu::VmExitEvent &) {
             // Only a dead store VM is recoverable; anything else (a
             // kill aimed at the server VM itself, say) unwinds.
@@ -434,7 +223,7 @@ KvsCluster::ServerMachine::servePut(const Key &key, const Value &value)
         for (int attempt = 0; attempt < 2 && hasReplica; ++attempt) {
             Node &r = nodes[replica];
             try {
-                appendTo(r, key, value);
+                r.client->put(key, value);
                 break;
             } catch (const cpu::VmExitEvent &) {
                 if (attempt == 1 || hv.hasVm(r.vmId))
@@ -448,7 +237,7 @@ KvsCluster::ServerMachine::servePut(const Key &key, const Value &value)
     for (int attempt = 0; attempt < 2; ++attempt) {
         Node &p = nodes[primary];
         try {
-            ok = appendTo(p, key, value);
+            ok = p.client->put(key, value);
             break;
         } catch (const cpu::VmExitEvent &) {
             if (attempt == 1 || hv.hasVm(p.vmId))
@@ -477,9 +266,9 @@ KvsCluster::ServerMachine::failoverPrimary()
     // index by replaying it, exactly what a fresh process attaching
     // the shm region after a crash would do.
     Node &r = nodes[replica];
-    const std::uint64_t applied = LogKvs::replay(*r.host);
+    const std::uint64_t applied = LogKvs::replay(r.host());
     vcpu().clock().advance(applied * hv.cost().kvsGetCoreNs);
-    lastPromotedFp = LogKvs::fingerprint(*r.host);
+    lastPromotedFp = LogKvs::fingerprint(r.host());
 
     primary = replica;
     hasReplica = false;
@@ -513,12 +302,12 @@ void
 KvsCluster::ServerMachine::reseedStandby()
 {
     Node &s = nodes[standby];
-    LogKvs::format(*s.host, buckets, logSlots);
+    LogKvs::format(s.host(), buckets, logSlots);
     std::uint64_t copied = 0;
     LogKvs::forEachLive(
-        *nodes[primary].host,
+        nodes[primary].host(),
         [&](const Key &key, const Value &value) {
-            const bool ok = LogKvs::put(*s.host, key, value);
+            const bool ok = LogKvs::put(s.host(), key, value);
             panic_if(!ok, "standby re-seed overflowed the store");
             ++copied;
             return true;
@@ -716,21 +505,21 @@ std::uint64_t
 KvsCluster::fingerprintOf(unsigned server)
 {
     ServerMachine &m = *machines.at(server);
-    return LogKvs::fingerprint(*m.nodes[m.primary].host);
+    return LogKvs::fingerprint(m.nodes[m.primary].host());
 }
 
 std::uint64_t
 KvsCluster::liveEntriesOf(unsigned server)
 {
     ServerMachine &m = *machines.at(server);
-    return LogKvs::liveEntries(*m.nodes[m.primary].host);
+    return LogKvs::liveEntries(m.nodes[m.primary].host());
 }
 
 bool
 KvsCluster::hostHas(std::uint64_t id)
 {
     ServerMachine &m = *machines.at(ownerOf(id));
-    return LogKvs::get(*m.nodes[m.primary].host, makeKey(id))
+    return LogKvs::get(m.nodes[m.primary].host(), makeKey(id))
         .has_value();
 }
 
@@ -739,11 +528,11 @@ KvsCluster::hostPut(unsigned server, const Key &key, const Value &value,
                     bool charge)
 {
     ServerMachine &m = *machines.at(server);
-    fatal_if(!LogKvs::put(*m.nodes[m.primary].host, key, value),
+    fatal_if(!LogKvs::put(m.nodes[m.primary].host(), key, value),
              "cluster store overflow on server %u (raise the geometry)",
              server);
     if (m.hasReplica)
-        fatal_if(!LogKvs::put(*m.nodes[m.replica].host, key, value),
+        fatal_if(!LogKvs::put(m.nodes[m.replica].host(), key, value),
                  "cluster replica overflow on server %u", server);
     if (charge)
         m.vcpu().clock().advance(m.hv.cost().kvsPutCoreNs);
@@ -865,7 +654,7 @@ KvsCluster::reshardRemove(unsigned server)
 
     ServerMachine &m = *machines.at(server);
     std::vector<std::pair<Key, Value>> moved;
-    LogKvs::forEachLive(*m.nodes[m.primary].host,
+    LogKvs::forEachLive(m.nodes[m.primary].host(),
                         [&](const Key &key, const Value &value) {
                             moved.emplace_back(key, value);
                             return true;
@@ -876,9 +665,9 @@ KvsCluster::reshardRemove(unsigned server)
 
     // The drained shard keeps running (it may rejoin) with empty
     // stores.
-    LogKvs::format(*m.nodes[m.primary].host, m.buckets, m.logSlots);
+    LogKvs::format(m.nodes[m.primary].host(), m.buckets, m.logSlots);
     if (m.hasReplica)
-        LogKvs::format(*m.nodes[m.replica].host, m.buckets, m.logSlots);
+        LogKvs::format(m.nodes[m.replica].host(), m.buckets, m.logSlots);
     return moved.size();
 }
 
@@ -896,7 +685,7 @@ KvsCluster::reshardAdd(unsigned server)
         ServerMachine &src = *machines[s];
         std::vector<std::pair<Key, Value>> moved;
         LogKvs::forEachLive(
-            *src.nodes[src.primary].host,
+            src.nodes[src.primary].host(),
             [&](const Key &key, const Value &value) {
                 if (hashRing.ownerOf(key) == server)
                     moved.emplace_back(key, value);
@@ -904,9 +693,9 @@ KvsCluster::reshardAdd(unsigned server)
             });
         for (const auto &[key, value] : moved) {
             hostPut(server, key, value, /*charge=*/true);
-            LogKvs::remove(*src.nodes[src.primary].host, key);
+            LogKvs::remove(src.nodes[src.primary].host(), key);
             if (src.hasReplica)
-                LogKvs::remove(*src.nodes[src.replica].host, key);
+                LogKvs::remove(src.nodes[src.replica].host(), key);
         }
         src.vcpu().clock().advance(moved.size() *
                                    src.hv.cost().kvsPutCoreNs);

@@ -54,9 +54,9 @@
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
 #include "hv/hypervisor.hh"
-#include "hv/ivshmem.hh"
 #include "kvs/hash_ring.hh"
 #include "kvs/kv_log.hh"
+#include "kvs/store.hh"
 #include "sim/engine.hh"
 #include "sim/histogram.hh"
 
@@ -64,15 +64,14 @@ namespace elisa::kvs
 {
 
 /** How a shard's server reaches its stores (the paper's three). */
-enum class ClusterScheme
-{
-    Elisa,  ///< gate calls into manager-VM exports (exit-less)
-    Vmcall, ///< one hypercall per op, host-private stores
-    Direct, ///< ivshmem-mapped stores, no transition at all
-};
+using ClusterScheme = Scheme;
 
 /** Render a scheme as it appears in the figures. */
-const char *clusterSchemeToString(ClusterScheme scheme);
+inline const char *
+clusterSchemeToString(ClusterScheme scheme)
+{
+    return schemeName(scheme);
+}
 
 /** Cluster geometry and behavior knobs. */
 struct ClusterConfig

@@ -90,7 +90,7 @@ DescRing::pop(RegionIo &io)
     p.len = d.len;
     p.seq = d.seq;
     p.data.resize(d.len);
-    io.read(d.bufOffset, p.data.data(), d.len);
+    io.read(bufSlotOff(cons), p.data.data(), d.len);
     io.write32(4, cons + 1);
     return p;
 }
@@ -107,7 +107,7 @@ DescRing::popHeader(RegionIo &io)
     io.read(descSlotOff(cons), &d, sizeof(d));
     // Touch the header word of the payload (forwarding decision).
     std::uint64_t header;
-    io.read(d.bufOffset, &header, sizeof(header));
+    io.read(bufSlotOff(cons), &header, sizeof(header));
     io.write32(4, cons + 1);
     return std::make_pair(d.seq, d.len);
 }

@@ -168,7 +168,10 @@ class DescRing
                             std::uint32_t len);
 
     /**
-     * Consume one packet: read the descriptor and payload.
+     * Consume one packet: read the descriptor and payload. The payload
+     * comes from the consumer's own slot, where every producer writes
+     * it; the descriptor's bufOffset, which a peer can rewrite, is not
+     * followed.
      * @return the packet, or nullopt when the ring is empty.
      */
     static std::optional<Packet> pop(RegionIo &io);

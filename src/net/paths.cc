@@ -23,6 +23,42 @@ unpackSeqLen(std::uint64_t packed)
             static_cast<std::uint32_t>(packed & 0xffffffffull)};
 }
 
+/**
+ * The ring work ELISA's sub context and VMCALL's host run for the
+ * guest, charging its clock: produce packet (@p seq, @p len), passed
+ * in the low halves of two argument registers, into @p tx.
+ * @return 1, or 0 when the ring is full.
+ */
+std::uint64_t
+serveTx(cpu::Vcpu &vcpu, RegionIo &tx, std::uint32_t seq,
+        std::uint32_t len)
+{
+    vcpu.clock().advance(NetPath::perPacketNs(vcpu.costModel(), len, true));
+    return DescRing::pushPattern(tx, seq, len) ? 1 : 0;
+}
+
+/** Consume one packet from @p rx for the guest, like serveTx.
+ *  @return the packed (seq, len), or ~0 when the ring is empty. */
+std::uint64_t
+serveRx(cpu::Vcpu &vcpu, RegionIo &rx)
+{
+    auto pkt = DescRing::pop(rx);
+    if (!pkt)
+        return ~std::uint64_t{0};
+    vcpu.clock().advance(
+        NetPath::perPacketNs(vcpu.costModel(), pkt->len, true));
+    return packSeqLen(pkt->seq, pkt->len);
+}
+
+/** Allocate a ring pair in @p vm's RAM (VF and virtio rings). */
+Gpa
+ringsInGuestRam(hv::Vm &vm)
+{
+    auto gpa = vm.allocGuestMem(2 * ringRegionPaged);
+    fatal_if(!gpa, "VM '%s' out of RAM for NIC rings", vm.name().c_str());
+    return *gpa;
+}
+
 } // anonymous namespace
 
 SimNs
@@ -33,86 +69,129 @@ NetPath::perPacketNs(const sim::CostModel &cost, std::uint32_t len,
            cost.memAccessNs * divCeil(len, 8);
 }
 
-// ---- SriovPath -------------------------------------------------------
+// ---- RingPath --------------------------------------------------------
 
-SriovPath::SriovPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index)
-    : hyper(hv), guestVm(vm), vcpuIndex(vcpu_index)
+RingPath::RingPath(hv::Hypervisor &hv, cpu::Vcpu &vcpu)
+    : hyper(hv), guestCpu(vcpu), txPktsId(hv.stats().id("net_tx_pkts")),
+      rxPktsId(hv.stats().id("net_rx_pkts"))
 {
-    internCounters(hv.stats());
-    auto gpa = vm.allocGuestMem(2 * ringRegionPaged);
-    fatal_if(!gpa, "VM '%s' out of RAM for VF rings", vm.name().c_str());
-    ringsGpa = *gpa;
+}
 
-    const Hpa hpa = vm.ramGpaToHpa(ringsGpa);
-    hostRxIo = std::make_unique<HostRegionIo>(hv.memory(), hpa);
-    hostTxIo = std::make_unique<HostRegionIo>(hv.memory(),
+void
+RingPath::setUpRings(Hpa hpa, std::optional<Gpa> guest_gpa)
+{
+    hostRxIo = std::make_unique<HostRegionIo>(hyper.memory(), hpa);
+    hostTxIo = std::make_unique<HostRegionIo>(hyper.memory(),
                                               hpa + ringRegionPaged);
-    guestRxIo = std::make_unique<GuestRegionIo>(vcpu(), ringsGpa);
-    guestTxIo = std::make_unique<GuestRegionIo>(
-        vcpu(), ringsGpa + ringRegionPaged);
+    if (guest_gpa) {
+        guestRxIo = std::make_unique<GuestRegionIo>(guestCpu, *guest_gpa);
+        guestTxIo = std::make_unique<GuestRegionIo>(
+            guestCpu, *guest_gpa + ringRegionPaged);
+    }
     DescRing::init(*hostRxIo);
     DescRing::init(*hostTxIo);
 }
 
 SimNs
-SriovPath::guestTx(std::uint32_t seq, std::uint32_t len)
+RingPath::guestPacketNs(std::uint32_t len) const
 {
-    cpu::Vcpu &cpu = vcpu();
-    cpu.clock().advance(perPacketNs(hyper.cost(), len, false));
+    return perPacketNs(hyper.cost(), len, true);
+}
+
+void
+RingPath::count(bool tx, std::uint32_t seq, std::uint32_t len)
+{
+    const sim::StatId id = tx ? txPktsId : rxPktsId;
+    const sim::TraceName name =
+        tx ? sim::TraceName::NetTx : sim::TraceName::NetRx;
+    hyper.stats().inc(id);
+    if (sim::Tracer *tr = guestCpu.tracer()) {
+        tr->instant(sim::SpanCat::Net, name, guestCpu.id(),
+                    guestCpu.clock().now(), seq, len);
+    }
+}
+
+SimNs
+RingPath::guestTx(std::uint32_t seq, std::uint32_t len)
+{
+    guestCpu.clock().advance(guestPacketNs(len));
     const bool ok = DescRing::pushPattern(*guestTxIo, seq, len);
-    panic_if(!ok, "VF TX ring overflow (workload pacing bug)");
-    countTx(cpu, seq, len);
-    return cpu.clock().now();
+    panic_if(!ok, "%s TX ring overflow (workload pacing bug)", name());
+    count(true, seq, len);
+    return guestCpu.clock().now();
 }
 
 std::pair<std::uint32_t, std::uint32_t>
-SriovPath::guestRx()
+RingPath::guestRx()
 {
     auto pkt = DescRing::pop(*guestRxIo);
-    panic_if(!pkt, "VF RX ring empty (workload pacing bug)");
-    vcpu().clock().advance(perPacketNs(hyper.cost(), pkt->len, false));
-    countRx(vcpu(), pkt->seq, pkt->len);
+    panic_if(!pkt, "%s RX ring empty (workload pacing bug)", name());
+    guestCpu.clock().advance(guestPacketNs(pkt->len));
+    count(false, pkt->seq, pkt->len);
     return {pkt->seq, pkt->len};
 }
 
 SimNs
-SriovPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                         SimNs wire_done)
+RingPath::servedTx(std::uint64_t ok, std::uint32_t seq, std::uint32_t len)
+{
+    panic_if(ok != 1, "%s TX ring overflow (workload pacing bug)", name());
+    count(true, seq, len);
+    return guestCpu.clock().now();
+}
+
+std::pair<std::uint32_t, std::uint32_t>
+RingPath::servedRx(std::uint64_t packed)
+{
+    panic_if(packed == ~std::uint64_t{0},
+             "%s RX ring empty (workload pacing bug)", name());
+    const auto seq_len = unpackSeqLen(packed);
+    count(false, seq_len.first, seq_len.second);
+    return seq_len;
+}
+
+SimNs
+RingPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
+                        SimNs wire_done)
 {
     const bool ok = DescRing::pushPattern(*hostRxIo, seq, len);
-    panic_if(!ok, "VF RX ring overflow");
+    panic_if(!ok, "%s RX ring overflow", name());
     return wire_done;
 }
 
 std::pair<Packet, SimNs>
-SriovPath::hostCollectTx(SimNs handoff)
+RingPath::hostCollectTx(SimNs handoff)
 {
     auto pkt = DescRing::pop(*hostTxIo);
-    panic_if(!pkt, "VF TX ring empty");
+    panic_if(!pkt, "%s TX ring empty", name());
     return {std::move(*pkt), handoff};
+}
+
+// ---- SriovPath -------------------------------------------------------
+
+SriovPath::SriovPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index)
+    : RingPath(hv, vm.vcpu(vcpu_index))
+{
+    const Gpa gpa = ringsInGuestRam(vm);
+    setUpRings(vm.ramGpaToHpa(gpa), gpa);
+}
+
+SimNs
+SriovPath::guestPacketNs(std::uint32_t len) const
+{
+    return perPacketNs(hyper.cost(), len, false);
 }
 
 // ---- DirectPath ------------------------------------------------------
 
 DirectPath::DirectPath(hv::Hypervisor &hv, hv::Vm &vm,
                        unsigned vcpu_index)
-    : hyper(hv), guestVm(vm), vcpuIndex(vcpu_index)
+    : RingPath(hv, vm.vcpu(vcpu_index)), guestVm(vm)
 {
-    internCounters(hv.stats());
     region = std::make_unique<hv::IvshmemRegion>(
         hv, "nic-rings-" + vm.name(), 2 * ringRegionPaged);
     fatal_if(!region->attach(vm, nicRegionGpa),
              "NIC ring window collision in VM '%s'", vm.name().c_str());
-
-    hostRxIo = std::make_unique<HostRegionIo>(hv.memory(),
-                                              region->base());
-    hostTxIo = std::make_unique<HostRegionIo>(
-        hv.memory(), region->base() + ringRegionPaged);
-    guestRxIo = std::make_unique<GuestRegionIo>(vcpu(), nicRegionGpa);
-    guestTxIo = std::make_unique<GuestRegionIo>(
-        vcpu(), nicRegionGpa + ringRegionPaged);
-    DescRing::init(*hostRxIo);
-    DescRing::init(*hostTxIo);
+    setUpRings(region->base(), nicRegionGpa);
 }
 
 DirectPath::~DirectPath()
@@ -120,73 +199,23 @@ DirectPath::~DirectPath()
     region->detach(guestVm, nicRegionGpa);
 }
 
-SimNs
-DirectPath::guestTx(std::uint32_t seq, std::uint32_t len)
-{
-    cpu::Vcpu &cpu = vcpu();
-    cpu.clock().advance(perPacketNs(hyper.cost(), len, true));
-    const bool ok = DescRing::pushPattern(*guestTxIo, seq, len);
-    panic_if(!ok, "direct TX ring overflow (workload pacing bug)");
-    countTx(cpu, seq, len);
-    return cpu.clock().now();
-}
-
-std::pair<std::uint32_t, std::uint32_t>
-DirectPath::guestRx()
-{
-    auto pkt = DescRing::pop(*guestRxIo);
-    panic_if(!pkt, "direct RX ring empty (workload pacing bug)");
-    vcpu().clock().advance(perPacketNs(hyper.cost(), pkt->len, true));
-    countRx(vcpu(), pkt->seq, pkt->len);
-    return {pkt->seq, pkt->len};
-}
-
-SimNs
-DirectPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                          SimNs wire_done)
-{
-    const bool ok = DescRing::pushPattern(*hostRxIo, seq, len);
-    panic_if(!ok, "direct RX ring overflow");
-    return wire_done;
-}
-
-std::pair<Packet, SimNs>
-DirectPath::hostCollectTx(SimNs handoff)
-{
-    auto pkt = DescRing::pop(*hostTxIo);
-    panic_if(!pkt, "direct TX ring empty");
-    return {std::move(*pkt), handoff};
-}
-
 // ---- ElisaPath -------------------------------------------------------
 
 ElisaPath::ElisaPath(hv::Hypervisor &hv, core::ElisaManager &manager,
                      core::ElisaGuest &guest,
                      const std::string &export_name)
-    : hyper(hv), guestRt(guest)
+    : RingPath(hv, guest.vcpu())
 {
-    internCounters(hv.stats());
-    const sim::CostModel &cost = hv.cost();
-
     // The shared code: per-packet NF work executed inside the sub EPT
     // context. RX ring at object+0, TX ring at object+ringRegionPaged.
     core::SharedFnTable fns;
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 0: tx(seq, len)
+    fns.push_back([](core::SubCallCtx &ctx) { // 0: tx(seq, len)
         GuestRegionIo io(ctx.view.vcpu(), ctx.obj + ringRegionPaged);
-        const auto seq = static_cast<std::uint32_t>(ctx.arg0);
-        const auto len = static_cast<std::uint32_t>(ctx.arg1);
-        ctx.view.vcpu().clock().advance(perPacketNs(cost, len, true));
-        return DescRing::pushPattern(io, seq, len) ? std::uint64_t{1}
-                                                   : std::uint64_t{0};
+        return serveTx(ctx.view.vcpu(), io, ctx.arg0, ctx.arg1);
     });
-    fns.push_back([&cost](core::SubCallCtx &ctx) { // 1: rx()
+    fns.push_back([](core::SubCallCtx &ctx) { // 1: rx()
         GuestRegionIo io(ctx.view.vcpu(), ctx.obj);
-        auto pkt = DescRing::pop(io);
-        if (!pkt)
-            return ~std::uint64_t{0};
-        ctx.view.vcpu().clock().advance(
-            perPacketNs(cost, pkt->len, true));
-        return packSeqLen(pkt->seq, pkt->len);
+        return serveRx(ctx.view.vcpu(), io);
     });
 
     auto exported = manager.exportObject(core::ExportKey(export_name),
@@ -195,13 +224,7 @@ ElisaPath::ElisaPath(hv::Hypervisor &hv, core::ElisaManager &manager,
     fatal_if(!exported, "exporting NIC rings '%s' failed",
              export_name.c_str());
 
-    const Hpa obj_hpa =
-        manager.vm().ramGpaToHpa(exported->objectGpa);
-    hostRxIo = std::make_unique<HostRegionIo>(hv.memory(), obj_hpa);
-    hostTxIo = std::make_unique<HostRegionIo>(hv.memory(),
-                                              obj_hpa + ringRegionPaged);
-    DescRing::init(*hostRxIo);
-    DescRing::init(*hostTxIo);
+    setUpRings(manager.vm().ramGpaToHpa(exported->objectGpa));
 
     core::AttachResult attached = guest.tryAttach(core::ExportKey(export_name), manager);
     fatal_if(!attached, "attach to NIC rings '%s' failed: %s",
@@ -209,91 +232,41 @@ ElisaPath::ElisaPath(hv::Hypervisor &hv, core::ElisaManager &manager,
     gate = attached.take();
 }
 
-cpu::Vcpu &
-ElisaPath::vcpu()
-{
-    return guestRt.vcpu();
-}
-
 SimNs
 ElisaPath::guestTx(std::uint32_t seq, std::uint32_t len)
 {
-    const std::uint64_t ok = gate.call(0, seq, len);
-    panic_if(ok != 1, "ELISA TX ring overflow (workload pacing bug)");
-    countTx(vcpu(), seq, len);
-    return vcpu().clock().now();
+    return servedTx(gate.call(0, seq, len), seq, len);
 }
 
 std::pair<std::uint32_t, std::uint32_t>
 ElisaPath::guestRx()
 {
-    const std::uint64_t packed = gate.call(1);
-    panic_if(packed == ~std::uint64_t{0},
-             "ELISA RX ring empty (workload pacing bug)");
-    const auto seq_len = unpackSeqLen(packed);
-    countRx(vcpu(), seq_len.first, seq_len.second);
-    return seq_len;
-}
-
-SimNs
-ElisaPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                         SimNs wire_done)
-{
-    const bool ok = DescRing::pushPattern(*hostRxIo, seq, len);
-    panic_if(!ok, "ELISA RX ring overflow");
-    return wire_done;
-}
-
-std::pair<Packet, SimNs>
-ElisaPath::hostCollectTx(SimNs handoff)
-{
-    auto pkt = DescRing::pop(*hostTxIo);
-    panic_if(!pkt, "ELISA TX ring empty");
-    return {std::move(*pkt), handoff};
+    return servedRx(gate.call(1));
 }
 
 // ---- VmcallPath ------------------------------------------------------
 
 VmcallPath::VmcallPath(hv::Hypervisor &hv, hv::Vm &vm,
                        unsigned vcpu_index)
-    : hyper(hv), guestVm(vm), vcpuIndex(vcpu_index)
+    : RingPath(hv, vm.vcpu(vcpu_index))
 {
-    internCounters(hv.stats());
     auto frames =
         hv.allocator().alloc(2 * ringRegionPaged / pageSize);
     fatal_if(!frames, "out of memory for host NIC rings");
     ringsHpa = *frames;
-
-    hostRxIo = std::make_unique<HostRegionIo>(hv.memory(), ringsHpa);
-    hostTxIo = std::make_unique<HostRegionIo>(
-        hv.memory(), ringsHpa + ringRegionPaged);
-    DescRing::init(*hostRxIo);
-    DescRing::init(*hostTxIo);
-
-    hcTxNr = hv.allocServiceNr();
-    hcRxNr = hv.allocServiceNr();
-    const sim::CostModel &cost = hv.cost();
+    setUpRings(ringsHpa);
 
     // Host-interposition handlers: the host does the ring work on the
     // guest's behalf, charging the guest's clock for it.
+    hcTxNr = hv.allocServiceNr();
+    hcRxNr = hv.allocServiceNr();
     hv.registerHypercall(
-        hcTxNr, [this, &cost](cpu::Vcpu &vcpu,
-                              const cpu::HypercallArgs &args) {
-            const auto seq = static_cast<std::uint32_t>(args.arg0);
-            const auto len = static_cast<std::uint32_t>(args.arg1);
-            vcpu.clock().advance(perPacketNs(cost, len, true));
-            return DescRing::pushPattern(*hostTxIo, seq, len)
-                       ? std::uint64_t{1}
-                       : std::uint64_t{0};
+        hcTxNr, [this](cpu::Vcpu &vcpu, const cpu::HypercallArgs &args) {
+            return serveTx(vcpu, *hostTxIo, args.arg0, args.arg1);
         });
     hv.registerHypercall(
-        hcRxNr, [this, &cost](cpu::Vcpu &vcpu,
-                              const cpu::HypercallArgs &) {
-            auto pkt = DescRing::pop(*hostRxIo);
-            if (!pkt)
-                return ~std::uint64_t{0};
-            vcpu.clock().advance(perPacketNs(cost, pkt->len, true));
-            return packSeqLen(pkt->seq, pkt->len);
+        hcRxNr, [this](cpu::Vcpu &vcpu, const cpu::HypercallArgs &) {
+            return serveRx(vcpu, *hostRxIo);
         });
 }
 
@@ -305,66 +278,22 @@ VmcallPath::~VmcallPath()
 SimNs
 VmcallPath::guestTx(std::uint32_t seq, std::uint32_t len)
 {
-    cpu::HypercallArgs args;
-    args.nr = hcTxNr;
-    args.arg0 = seq;
-    args.arg1 = len;
-    const std::uint64_t ok = vcpu().vmcall(args);
-    panic_if(ok != 1, "VMCALL TX ring overflow (workload pacing bug)");
-    countTx(vcpu(), seq, len);
-    return vcpu().clock().now();
+    return servedTx(vcpu().vmcall({hcTxNr, seq, len}), seq, len);
 }
 
 std::pair<std::uint32_t, std::uint32_t>
 VmcallPath::guestRx()
 {
-    cpu::HypercallArgs args;
-    args.nr = hcRxNr;
-    const std::uint64_t packed = vcpu().vmcall(args);
-    panic_if(packed == ~std::uint64_t{0},
-             "VMCALL RX ring empty (workload pacing bug)");
-    const auto seq_len = unpackSeqLen(packed);
-    countRx(vcpu(), seq_len.first, seq_len.second);
-    return seq_len;
-}
-
-SimNs
-VmcallPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                          SimNs wire_done)
-{
-    const bool ok = DescRing::pushPattern(*hostRxIo, seq, len);
-    panic_if(!ok, "VMCALL RX ring overflow");
-    return wire_done;
-}
-
-std::pair<Packet, SimNs>
-VmcallPath::hostCollectTx(SimNs handoff)
-{
-    auto pkt = DescRing::pop(*hostTxIo);
-    panic_if(!pkt, "VMCALL TX ring empty");
-    return {std::move(*pkt), handoff};
+    return servedRx(vcpu().vmcall({hcRxNr}));
 }
 
 // ---- VhostPath --------------------------------------------------
 
 VhostPath::VhostPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index)
-    : hyper(hv), guestVm(vm), vcpuIndex(vcpu_index)
+    : RingPath(hv, vm.vcpu(vcpu_index))
 {
-    internCounters(hv.stats());
-    auto gpa = vm.allocGuestMem(2 * ringRegionPaged);
-    fatal_if(!gpa, "VM '%s' out of RAM for virtio rings",
-             vm.name().c_str());
-    ringsGpa = *gpa;
-
-    const Hpa hpa = vm.ramGpaToHpa(ringsGpa);
-    hostRxIo = std::make_unique<HostRegionIo>(hv.memory(), hpa);
-    hostTxIo = std::make_unique<HostRegionIo>(hv.memory(),
-                                              hpa + ringRegionPaged);
-    guestRxIo = std::make_unique<GuestRegionIo>(vcpu(), ringsGpa);
-    guestTxIo = std::make_unique<GuestRegionIo>(
-        vcpu(), ringsGpa + ringRegionPaged);
-    DescRing::init(*hostRxIo);
-    DescRing::init(*hostTxIo);
+    const Gpa gpa = ringsInGuestRam(vm);
+    setUpRings(vm.ramGpaToHpa(gpa), gpa);
 }
 
 SimNs
@@ -376,49 +305,27 @@ VhostPath::backendServiceNs(std::uint32_t len) const
 }
 
 SimNs
-VhostPath::guestTx(std::uint32_t seq, std::uint32_t len)
+VhostPath::guestPacketNs(std::uint32_t len) const
 {
     const sim::CostModel &cost = hyper.cost();
-    cpu::Vcpu &cpu = vcpu();
-    cpu.clock().advance(cost.virtioGuestNs + cost.virtioKickNs +
-                        cost.memAccessNs * divCeil(len, 8));
-    const bool ok = DescRing::pushPattern(*guestTxIo, seq, len);
-    panic_if(!ok, "virtio TX ring overflow (workload pacing bug)");
-    countTx(cpu, seq, len);
-    return cpu.clock().now();
-}
-
-std::pair<std::uint32_t, std::uint32_t>
-VhostPath::guestRx()
-{
-    const sim::CostModel &cost = hyper.cost();
-    auto pkt = DescRing::pop(*guestRxIo);
-    panic_if(!pkt, "virtio RX ring empty (workload pacing bug)");
-    vcpu().clock().advance(cost.virtioGuestNs + cost.virtioKickNs +
-                           cost.memAccessNs * divCeil(pkt->len, 8));
-    countRx(vcpu(), pkt->seq, pkt->len);
-    return {pkt->seq, pkt->len};
+    return cost.virtioGuestNs + cost.virtioKickNs +
+           cost.memAccessNs * divCeil(len, 8);
 }
 
 SimNs
 VhostPath::hostDeliverRx(std::uint32_t seq, std::uint32_t len,
                          SimNs wire_done)
 {
-    // The backend thread copies the frame into the virtio ring.
-    const SimNs ready = backend.submit(wire_done, backendServiceNs(len));
-    const bool ok = DescRing::pushPattern(*hostRxIo, seq, len);
-    panic_if(!ok, "virtio RX ring overflow");
-    return ready;
+    RingPath::hostDeliverRx(seq, len, wire_done);
+    return backend.submit(wire_done, backendServiceNs(len));
 }
 
 std::pair<Packet, SimNs>
 VhostPath::hostCollectTx(SimNs handoff)
 {
-    auto pkt = DescRing::pop(*hostTxIo);
-    panic_if(!pkt, "virtio TX ring empty");
-    const SimNs ready =
-        backend.submit(handoff, backendServiceNs(pkt->len));
-    return {std::move(*pkt), ready};
+    auto [pkt, ready] = RingPath::hostCollectTx(handoff);
+    ready = backend.submit(ready, backendServiceNs(pkt.len));
+    return {std::move(pkt), ready};
 }
 
 } // namespace elisa::net

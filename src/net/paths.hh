@@ -104,99 +104,91 @@ class NetPath
      */
     static SimNs perPacketNs(const sim::CostModel &cost,
                              std::uint32_t len, bool soft_switch);
-
-  protected:
-    /**
-     * Intern the per-packet counters once at construction; per-packet
-     * code increments by id (no string hashing on the data path).
-     */
-    void
-    internCounters(sim::StatSet &stats)
-    {
-        pathStats = &stats;
-        txPktsId = stats.id("net_tx_pkts");
-        rxPktsId = stats.id("net_rx_pkts");
-    }
-
-    /** Count one transmit; emits a per-packet trace instant when the
-     *  machine has a tracer installed (one pointer test otherwise). */
-    void
-    countTx(cpu::Vcpu &cpu, std::uint32_t seq, std::uint32_t len)
-    {
-        pathStats->inc(txPktsId);
-        if (sim::Tracer *tr = cpu.tracer()) {
-            tr->instant(sim::SpanCat::Net, sim::TraceName::NetTx, cpu.id(),
-                        cpu.clock().now(), seq, len);
-        }
-    }
-
-    /** Count one receive (traced like countTx). */
-    void
-    countRx(cpu::Vcpu &cpu, std::uint32_t seq, std::uint32_t len)
-    {
-        pathStats->inc(rxPktsId);
-        if (sim::Tracer *tr = cpu.tracer()) {
-            tr->instant(sim::SpanCat::Net, sim::TraceName::NetRx, cpu.id(),
-                        cpu.clock().now(), seq, len);
-        }
-    }
-
-  private:
-    sim::StatSet *pathStats = nullptr;
-    sim::StatId txPktsId = 0;
-    sim::StatId rxPktsId = 0;
 };
 
-/** Direct device assignment (SR-IOV VF). */
-class SriovPath : public NetPath
+/**
+ * The ring end the five paths share: an RX/TX ring pair in one region
+ * (RX at +0, TX one paged ring later), the host's views of both rings,
+ * and the host side of every packet. The guest side here is the one
+ * SR-IOV, ivshmem and vhost share, where the guest's driver works the
+ * rings through its own view; ELISA and VMCALL override it.
+ */
+class RingPath : public NetPath
 {
   public:
-    SriovPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index = 0);
-
-    const char *name() const override { return "SR-IOV"; }
-    cpu::Vcpu &vcpu() override { return guestVm.vcpu(vcpuIndex); }
+    cpu::Vcpu &vcpu() override { return guestCpu; }
     SimNs guestTx(std::uint32_t seq, std::uint32_t len) override;
     std::pair<std::uint32_t, std::uint32_t> guestRx() override;
     SimNs hostDeliverRx(std::uint32_t seq, std::uint32_t len,
                         SimNs wire_done) override;
     std::pair<Packet, SimNs> hostCollectTx(SimNs handoff) override;
 
-  private:
+  protected:
+    RingPath(hv::Hypervisor &hv, cpu::Vcpu &vcpu);
+
+    /**
+     * Build the host's views of the ring pair at @p hpa and zero both
+     * rings' indices; @p guest_gpa, when given, is where the guest's
+     * driver sees the region.
+     */
+    void setUpRings(Hpa hpa, std::optional<Gpa> guest_gpa = std::nullopt);
+
+    /** Guest work per packet; by default the software-switched lump. */
+    virtual SimNs guestPacketNs(std::uint32_t len) const;
+
+    /**
+     * The guest side of a path whose sub context or host works the
+     * rings for it: @p ok is what the TX call returned, @p packed
+     * what the RX call returned. Both count the packet.
+     */
+    SimNs servedTx(std::uint64_t ok, std::uint32_t seq, std::uint32_t len);
+    std::pair<std::uint32_t, std::uint32_t> servedRx(std::uint64_t packed);
+
     hv::Hypervisor &hyper;
-    hv::Vm &guestVm;
-    unsigned vcpuIndex;
-    Gpa ringsGpa; ///< rx ring at +0, tx ring at +ringRegionPaged
-    std::unique_ptr<GuestRegionIo> guestRxIo, guestTxIo;
     std::unique_ptr<HostRegionIo> hostRxIo, hostTxIo;
+
+  private:
+    /** Count one transmit or receive; emits a per-packet trace instant
+     *  when the machine has a tracer installed (one pointer test
+     *  otherwise). */
+    void count(bool tx, std::uint32_t seq, std::uint32_t len);
+
+    cpu::Vcpu &guestCpu;
+    std::unique_ptr<GuestRegionIo> guestRxIo, guestTxIo;
+    sim::StatId txPktsId;
+    sim::StatId rxPktsId;
+};
+
+/** Direct device assignment (SR-IOV VF): rings in guest RAM,
+ *  hardware switching. */
+class SriovPath : public RingPath
+{
+  public:
+    SriovPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index = 0);
+
+    const char *name() const override { return "SR-IOV"; }
+
+  protected:
+    SimNs guestPacketNs(std::uint32_t len) const override;
 };
 
 /** Direct-mapped shared NIC rings (ivshmem). */
-class DirectPath : public NetPath
+class DirectPath : public RingPath
 {
   public:
     DirectPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index = 0);
     ~DirectPath() override;
 
     const char *name() const override { return "ivshmem"; }
-    cpu::Vcpu &vcpu() override { return guestVm.vcpu(vcpuIndex); }
-    SimNs guestTx(std::uint32_t seq, std::uint32_t len) override;
-    std::pair<std::uint32_t, std::uint32_t> guestRx() override;
-    SimNs hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                        SimNs wire_done) override;
-    std::pair<Packet, SimNs> hostCollectTx(SimNs handoff) override;
 
   private:
-    hv::Hypervisor &hyper;
     hv::Vm &guestVm;
-    unsigned vcpuIndex;
     std::unique_ptr<hv::IvshmemRegion> region;
-    std::unique_ptr<GuestRegionIo> guestRxIo, guestTxIo;
-    std::unique_ptr<HostRegionIo> hostRxIo, hostTxIo;
 };
 
 /** ELISA: rings in a manager-VM export, per-packet work in the sub
  *  context behind a gate call. */
-class ElisaPath : public NetPath
+class ElisaPath : public RingPath
 {
   public:
     /**
@@ -208,54 +200,38 @@ class ElisaPath : public NetPath
               core::ElisaGuest &guest, const std::string &export_name);
 
     const char *name() const override { return "ELISA"; }
-    cpu::Vcpu &vcpu() override;
     SimNs guestTx(std::uint32_t seq, std::uint32_t len) override;
     std::pair<std::uint32_t, std::uint32_t> guestRx() override;
-    SimNs hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                        SimNs wire_done) override;
-    std::pair<Packet, SimNs> hostCollectTx(SimNs handoff) override;
 
   private:
-    hv::Hypervisor &hyper;
-    core::ElisaGuest &guestRt;
     core::Gate gate;
-    std::unique_ptr<HostRegionIo> hostRxIo, hostTxIo;
 };
 
 /** Host-interposition: one VMCALL per packet. */
-class VmcallPath : public NetPath
+class VmcallPath : public RingPath
 {
   public:
     VmcallPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index = 0);
     ~VmcallPath() override;
 
     const char *name() const override { return "VMCALL"; }
-    cpu::Vcpu &vcpu() override { return guestVm.vcpu(vcpuIndex); }
     SimNs guestTx(std::uint32_t seq, std::uint32_t len) override;
     std::pair<std::uint32_t, std::uint32_t> guestRx() override;
-    SimNs hostDeliverRx(std::uint32_t seq, std::uint32_t len,
-                        SimNs wire_done) override;
-    std::pair<Packet, SimNs> hostCollectTx(SimNs handoff) override;
 
   private:
-    hv::Hypervisor &hyper;
-    hv::Vm &guestVm;
-    unsigned vcpuIndex;
     Hpa ringsHpa; ///< host-private rings
     std::uint64_t hcTxNr, hcRxNr;
-    std::unique_ptr<HostRegionIo> hostRxIo, hostTxIo;
 };
 
 /** vhost-net-style virtio path with a host backend thread. */
-class VhostPath : public NetPath
+class VhostPath : public RingPath
 {
   public:
     VhostPath(hv::Hypervisor &hv, hv::Vm &vm, unsigned vcpu_index = 0);
 
     const char *name() const override { return "vhost-net"; }
-    cpu::Vcpu &vcpu() override { return guestVm.vcpu(vcpuIndex); }
-    SimNs guestTx(std::uint32_t seq, std::uint32_t len) override;
-    std::pair<std::uint32_t, std::uint32_t> guestRx() override;
+
+    /** The backend thread copies each frame, after the ring end. */
     SimNs hostDeliverRx(std::uint32_t seq, std::uint32_t len,
                         SimNs wire_done) override;
     std::pair<Packet, SimNs> hostCollectTx(SimNs handoff) override;
@@ -263,16 +239,13 @@ class VhostPath : public NetPath
     /** Backend utilization inspection (tests). */
     const sim::SimResource &backendThread() const { return backend; }
 
+  protected:
+    SimNs guestPacketNs(std::uint32_t len) const override;
+
   private:
     /** Per-packet backend service time (copy + virtio handling). */
     SimNs backendServiceNs(std::uint32_t len) const;
 
-    hv::Hypervisor &hyper;
-    hv::Vm &guestVm;
-    unsigned vcpuIndex;
-    Gpa ringsGpa; ///< virtio rings in guest RAM
-    std::unique_ptr<GuestRegionIo> guestRxIo, guestTxIo;
-    std::unique_ptr<HostRegionIo> hostRxIo, hostTxIo;
     sim::SimResource backend;
 };
 

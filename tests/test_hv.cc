@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the hypervisor: VM lifecycle, resource accounting,
- * hypercall registration, EPTP-list management, channels, ivshmem.
+ * hypercall registration, EPTP-list management, ivshmem.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
-#include "hv/doorbell.hh"
 #include "hv/hypervisor.hh"
 #include "hv/ivshmem.hh"
 
@@ -208,47 +207,6 @@ TEST(HvIsolation, RecycledEptpNeverServesRetiredTranslations)
         frames.free(f);
 }
 
-TEST_F(HvTest, ChannelRoundTripThroughGuestMemory)
-{
-    hv::Vm &a = hv.createVm("a", 2 * MiB);
-    hv::Vm &b = hv.createVm("b", 2 * MiB);
-    const hv::ChannelId chan = hv.createChannel();
-
-    // a sends "ping" from its RAM.
-    cpu::GuestView va(a.vcpu(0));
-    const char ping[] = "ping";
-    va.writeBytes(0x1000, ping, 4);
-    EXPECT_EQ(a.vcpu(0).vmcall(hv::hcArgs(hv::Hc::ChanSend, chan,
-                                          0x1000, 4)),
-              0u);
-    EXPECT_EQ(hv.channelDepth(chan), 1u);
-
-    // b receives into its RAM.
-    EXPECT_EQ(b.vcpu(0).vmcall(hv::hcArgs(hv::Hc::ChanRecv, chan,
-                                          0x2000, 64)),
-              4u);
-    cpu::GuestView vb(b.vcpu(0));
-    char out[5] = {};
-    vb.readBytes(0x2000, out, 4);
-    EXPECT_STREQ(out, "ping");
-
-    // Empty now.
-    EXPECT_EQ(b.vcpu(0).vmcall(hv::hcArgs(hv::Hc::ChanRecv, chan,
-                                          0x2000, 64)),
-              hv::hcError);
-}
-
-TEST_F(HvTest, ChannelCapacityBounds)
-{
-    const hv::ChannelId chan = hv.createChannel(2);
-    EXPECT_TRUE(hv.channelPush(chan, {1}));
-    EXPECT_TRUE(hv.channelPush(chan, {2}));
-    EXPECT_FALSE(hv.channelPush(chan, {3}));
-    auto m = hv.channelPop(chan);
-    ASSERT_TRUE(m);
-    EXPECT_EQ((*m)[0], 1u);
-}
-
 TEST_F(HvTest, IvshmemSharedBetweenVms)
 {
     hv::Vm &a = hv.createVm("a", 2 * MiB);
@@ -271,56 +229,6 @@ TEST_F(HvTest, IvshmemSharedBetweenVms)
     // a is unaffected.
     EXPECT_EQ(va.read<std::uint64_t>(where + 0x10), 0x123456789ull);
     shm.detach(a, where);
-}
-
-TEST_F(HvTest, DoorbellDeliversAfterIpiLatency)
-{
-    hv::Doorbell bell(hv.cost());
-    sim::SimClock receiver;
-
-    EXPECT_EQ(bell.wait(receiver), 0u); // nothing pending
-    const SimNs deliver = bell.ring(1000);
-    EXPECT_EQ(deliver, 1000 + hv.cost().ipiDeliverNs);
-    EXPECT_EQ(bell.pending(), 1u);
-
-    EXPECT_EQ(bell.wait(receiver), 1u);
-    EXPECT_EQ(receiver.now(), deliver); // receiver slept until it
-    EXPECT_EQ(bell.pending(), 0u);
-}
-
-TEST_F(HvTest, DoorbellCoalescesLikeAnInterruptLine)
-{
-    hv::Doorbell bell(hv.cost());
-    bell.ring(100);
-    bell.ring(200);
-    bell.ring(300);
-    EXPECT_EQ(bell.pending(), 3u);
-    sim::SimClock receiver;
-    // One wake-up consumes all three; delivery at the earliest ring.
-    EXPECT_EQ(bell.wait(receiver), 3u);
-    EXPECT_EQ(receiver.now(), 100 + hv.cost().ipiDeliverNs);
-}
-
-TEST_F(HvTest, DoorbellPollRespectsDeliveryTime)
-{
-    hv::Doorbell bell(hv.cost());
-    sim::SimClock receiver;
-    bell.ring(receiver.now() + 5000);
-    // Not yet delivered at the receiver's current time.
-    EXPECT_EQ(bell.poll(receiver), 0u);
-    receiver.advance(5000 + hv.cost().ipiDeliverNs);
-    EXPECT_EQ(bell.poll(receiver), 1u);
-    EXPECT_EQ(bell.pending(), 0u);
-}
-
-TEST_F(HvTest, DoorbellAlreadyLateReceiverDoesNotRewind)
-{
-    hv::Doorbell bell(hv.cost());
-    sim::SimClock receiver;
-    receiver.advance(1000000);
-    bell.ring(10);
-    bell.wait(receiver);
-    EXPECT_EQ(receiver.now(), 1000000u); // clock never goes back
 }
 
 TEST_F(HvTest, VmDestroyHooksRunBeforeTeardown)

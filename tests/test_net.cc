@@ -123,6 +123,24 @@ TEST_F(RingTest, PopHeaderConsumesWithoutPayloadRead)
     EXPECT_EQ(DescRing::count(io), 0u);
 }
 
+TEST_F(RingTest, PopIgnoresForgedBufferOffset)
+{
+    // A peer can rewrite a published descriptor. Its bufOffset must not
+    // steer the consumer's read out of the ring: plant bytes 6 MiB into
+    // the machine, far past the ring region, and point the descriptor
+    // at them.
+    ASSERT_TRUE(DescRing::pushPattern(io, 42, 256));
+    const std::uint64_t planted = 6 * MiB;
+    std::vector<std::uint8_t> junk(256, 0xab);
+    io.write(planted, junk.data(), junk.size());
+    io.write(DescRing::descOff, &planted, sizeof(planted));
+
+    auto p = DescRing::pop(io);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p->seq, 42u);
+    EXPECT_TRUE(checkPattern(p->data.data(), 42, 256));
+}
+
 TEST(NetResultMath, RatesDeriveFromSimulatedTime)
 {
     NetResult r;
