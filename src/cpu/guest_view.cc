@@ -10,37 +10,6 @@
 namespace elisa::cpu
 {
 
-namespace
-{
-
-/**
- * Copy a small run without libc memcpy: the compiler expands a
- * dynamic-length memcpy into `rep movs`, whose startup cost dwarfs the
- * 8..64-byte descriptor/spill copies that dominate the access path.
- */
-inline void
-copySmall(std::uint8_t *dst, const std::uint8_t *src, std::uint64_t len)
-{
-    while (len >= 8) {
-        std::uint64_t w;
-        std::memcpy(&w, src, 8);
-        std::memcpy(dst, &w, 8);
-        src += 8;
-        dst += 8;
-        len -= 8;
-    }
-    while (len > 0) {
-        *dst++ = *src++;
-        --len;
-    }
-}
-
-/** Largest length routed through copySmall(); beyond this the real
- *  memcpy's startup amortizes. */
-constexpr std::uint64_t smallCopyMax = 64;
-
-} // anonymous namespace
-
 Hpa
 GuestView::translateChunk(Gpa gpa, std::uint64_t len, ept::Access access)
 {
@@ -167,11 +136,7 @@ GuestView::readBytes(Gpa gpa, void *dst, std::uint64_t len)
         const std::uint64_t in_page =
             std::min<std::uint64_t>(len, pageSize - (gpa & pageMask));
         const Hpa hpa = translateChunk(gpa, in_page, ept::Access::Read);
-        if (in_page <= smallCopyMax)
-            copySmall(out, std::as_const(cpu.memory()).raw(hpa, in_page),
-                      in_page);
-        else
-            cpu.memory().read(hpa, out, in_page);
+        cpu.memory().read(hpa, out, in_page);
         gpa += in_page;
         out += in_page;
         len -= in_page;
@@ -187,10 +152,7 @@ GuestView::writeBytes(Gpa gpa, const void *src, std::uint64_t len)
         const std::uint64_t in_page =
             std::min<std::uint64_t>(len, pageSize - (gpa & pageMask));
         const Hpa hpa = translateChunk(gpa, in_page, ept::Access::Write);
-        if (in_page <= smallCopyMax)
-            copySmall(cpu.memory().raw(hpa, in_page), in, in_page);
-        else
-            cpu.memory().write(hpa, in, in_page);
+        cpu.memory().write(hpa, in, in_page);
         gpa += in_page;
         in += in_page;
         len -= in_page;

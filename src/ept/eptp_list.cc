@@ -35,17 +35,6 @@ EptpList::clear(EptpIndex index)
     mem.write64(page + index * 8ull, 0);
 }
 
-std::optional<std::uint64_t>
-EptpList::lookup(EptpIndex index) const
-{
-    if (index >= eptpListSize)
-        return std::nullopt;
-    const std::uint64_t eptp = mem.read64(page + index * 8ull);
-    if (eptp == 0)
-        return std::nullopt;
-    return eptp;
-}
-
 std::optional<EptpIndex>
 EptpList::findFree() const
 {

@@ -54,11 +54,24 @@ class EptpList
     void clear(EptpIndex index);
 
     /**
-     * Read entry @p index as the VMFUNC microcode would.
+     * Read entry @p index as the VMFUNC microcode would. Defined here
+     * so the optional stays in registers: out of line, it is built in
+     * a stack slot and reloaded into the return registers, and the
+     * 8-byte reload of its 1-byte flag cannot be store-forwarded,
+     * which stalls every VMFUNC.
      * @return the EPTP, or nullopt when the index is out of range or
      *         the entry is invalid (zero).
      */
-    std::optional<std::uint64_t> lookup(EptpIndex index) const;
+    std::optional<std::uint64_t>
+    lookup(EptpIndex index) const
+    {
+        if (index >= eptpListSize)
+            return std::nullopt;
+        const std::uint64_t eptp = mem.read64(page + index * 8ull);
+        if (eptp == 0)
+            return std::nullopt;
+        return eptp;
+    }
 
     /**
      * Find the first zero entry.

@@ -1,5 +1,7 @@
 #include "net/desc_ring.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace elisa::net
@@ -74,8 +76,8 @@ DescRing::pushPattern(RegionIo &io, std::uint32_t seq, std::uint32_t len)
     return push(io, staging, len, seq);
 }
 
-std::optional<Packet>
-DescRing::pop(RegionIo &io)
+std::optional<std::pair<std::uint32_t, std::uint32_t>>
+DescRing::pop(RegionIo &io, std::uint8_t (&payload)[bufBytes])
 {
     const std::uint32_t prod = io.read32(0);
     const std::uint32_t cons = io.read32(4);
@@ -84,14 +86,22 @@ DescRing::pop(RegionIo &io)
 
     Desc d;
     io.read(descSlotOff(cons), &d, sizeof(d));
-    panic_if(d.len > bufBytes, "corrupt descriptor length");
-
-    Packet p;
-    p.len = d.len;
-    p.seq = d.seq;
-    p.data.resize(d.len);
-    io.read(bufSlotOff(cons), p.data.data(), d.len);
+    io.read(bufSlotOff(cons), payload, std::min(d.len, bufBytes));
     io.write32(4, cons + 1);
+    return std::make_pair(d.seq, d.len);
+}
+
+std::optional<Packet>
+DescRing::pop(RegionIo &io)
+{
+    std::uint8_t payload[bufBytes];
+    const auto seq_len = pop(io, payload);
+    if (!seq_len)
+        return std::nullopt;
+    Packet p;
+    p.seq = seq_len->first;
+    p.len = seq_len->second;
+    p.data.assign(payload, payload + std::min(p.len, bufBytes));
     return p;
 }
 

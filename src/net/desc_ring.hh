@@ -160,18 +160,28 @@ class DescRing
                      std::uint32_t len, std::uint32_t seq);
 
     /**
-     * Produce one packet whose payload is generated in place from the
-     * sequence pattern (what a sub-context NF does: the bytes never
-     * exist outside the ring region).
+     * Produce one packet whose payload is the sequence pattern (what a
+     * sub-context NF does). The pattern is staged in a host stack
+     * buffer, then copied into the slot through @p io like push().
      */
     static bool pushPattern(RegionIo &io, std::uint32_t seq,
                             std::uint32_t len);
 
     /**
-     * Consume one packet: read the descriptor and payload. The payload
-     * comes from the consumer's own slot, where every producer writes
-     * it; the descriptor's bufOffset, which a peer can rewrite, is not
-     * followed.
+     * Consume one packet: read the descriptor and copy the payload
+     * into @p payload. The payload comes from the consumer's own slot,
+     * where every producer writes it; the descriptor's bufOffset,
+     * which a peer can rewrite, is not followed. Its len, which a peer
+     * can rewrite too, is reported as written, but at most bufBytes
+     * are copied: a len above bufBytes matches no honest packet.
+     * @return {seq, len}, or nullopt when the ring is empty.
+     */
+    static std::optional<std::pair<std::uint32_t, std::uint32_t>>
+    pop(RegionIo &io, std::uint8_t (&payload)[bufBytes]);
+
+    /**
+     * pop() into a Packet whose data holds the copied bytes, which
+     * are fewer than len when the len is forged.
      * @return the packet, or nullopt when the ring is empty.
      */
     static std::optional<Packet> pop(RegionIo &io);

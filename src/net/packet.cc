@@ -1,6 +1,5 @@
 #include "net/packet.hh"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -12,10 +11,11 @@ namespace elisa::net
 namespace
 {
 
-/** Bytes 0, 1, ..., 255 twice: any 256-byte run of the rolling
- *  pattern is a contiguous slice of it. */
+/** Bytes 0, 1, 2, ... wrapping at 256, long enough that the body of
+ *  any packet, starting at any phase of the rolling pattern, is one
+ *  contiguous slice of it. */
 constexpr auto byteRamp = [] {
-    std::array<std::uint8_t, 512> ramp{};
+    std::array<std::uint8_t, 256 + maxPacketBytes> ramp{};
     for (std::size_t i = 0; i < ramp.size(); ++i)
         ramp[i] = static_cast<std::uint8_t>(i);
     return ramp;
@@ -28,20 +28,20 @@ fillPattern(std::uint8_t *dst, std::uint32_t seq, std::uint32_t len)
 {
     // First word carries the sequence number (the "header"), the rest
     // is a cheap rolling byte pattern derived from it: byte i is
-    // (seq * 131 + i) & 0xff. It repeats every 256 bytes, so copy it
-    // in runs of at most 256 from the ramp.
-    panic_if(len < 8, "packet below minimum pattern size");
+    // (seq * 131 + i) & 0xff, one copy from the ramp.
+    panic_if(len < 8 || len > maxPacketBytes,
+             "packet length %u outside the pattern's range", len);
     std::memcpy(dst, &seq, 4);
     std::memcpy(dst + 4, &len, 4);
-    const std::uint8_t *run = &byteRamp[(seq * 131 + 8) & 0xff];
-    for (std::uint32_t i = 8; i < len; i += 256)
-        std::memcpy(dst + i, run, std::min<std::uint32_t>(256, len - i));
+    std::memcpy(dst + 8, &byteRamp[(seq * 131 + 8) & 0xff], len - 8);
 }
 
 bool
 checkPattern(const std::uint8_t *data, std::uint32_t seq,
              std::uint32_t len)
 {
+    if (len < 8)
+        return false; // no pattern is shorter than its header
     std::uint32_t got_seq = 0, got_len = 0;
     std::memcpy(&got_seq, data, 4);
     std::memcpy(&got_len, data + 4, 4);

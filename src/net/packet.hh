@@ -34,7 +34,8 @@ struct Packet
 /** Build a packet of @p len bytes carrying @p seq in its pattern. */
 Packet makePacket(std::uint32_t seq, std::uint32_t len);
 
-/** Fill @p dst (len bytes) with the pattern for @p seq. */
+/** Fill @p dst (len bytes, 8 <= len <= maxPacketBytes) with the
+ *  pattern for @p seq. */
 void fillPattern(std::uint8_t *dst, std::uint32_t seq,
                  std::uint32_t len);
 

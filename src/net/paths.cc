@@ -37,17 +37,19 @@ serveTx(cpu::Vcpu &vcpu, RegionIo &tx, std::uint32_t seq,
     return DescRing::pushPattern(tx, seq, len) ? 1 : 0;
 }
 
-/** Consume one packet from @p rx for the guest, like serveTx.
+/** Consume one packet from @p rx for the guest, like serveTx; the
+ *  payload is read and dropped.
  *  @return the packed (seq, len), or ~0 when the ring is empty. */
 std::uint64_t
 serveRx(cpu::Vcpu &vcpu, RegionIo &rx)
 {
-    auto pkt = DescRing::pop(rx);
-    if (!pkt)
+    std::uint8_t payload[DescRing::bufBytes];
+    const auto seq_len = DescRing::pop(rx, payload);
+    if (!seq_len)
         return ~std::uint64_t{0};
     vcpu.clock().advance(
-        NetPath::perPacketNs(vcpu.costModel(), pkt->len, true));
-    return packSeqLen(pkt->seq, pkt->len);
+        NetPath::perPacketNs(vcpu.costModel(), seq_len->second, true));
+    return packSeqLen(seq_len->first, seq_len->second);
 }
 
 /** Allocate a ring pair in @p vm's RAM (VF and virtio rings). */
@@ -124,11 +126,12 @@ RingPath::guestTx(std::uint32_t seq, std::uint32_t len)
 std::pair<std::uint32_t, std::uint32_t>
 RingPath::guestRx()
 {
-    auto pkt = DescRing::pop(*guestRxIo);
-    panic_if(!pkt, "%s RX ring empty (workload pacing bug)", name());
-    guestCpu.clock().advance(guestPacketNs(pkt->len));
-    count(false, pkt->seq, pkt->len);
-    return {pkt->seq, pkt->len};
+    std::uint8_t payload[DescRing::bufBytes];
+    const auto seq_len = DescRing::pop(*guestRxIo, payload);
+    panic_if(!seq_len, "%s RX ring empty (workload pacing bug)", name());
+    guestCpu.clock().advance(guestPacketNs(seq_len->second));
+    count(false, seq_len->first, seq_len->second);
+    return *seq_len;
 }
 
 SimNs

@@ -103,7 +103,8 @@ runTx(NetPath &path, PhysNic &nic, std::uint32_t len,
         const SimNs handoff =
             path.guestTx(static_cast<std::uint32_t>(i), len);
         auto [pkt, ready] = path.hostCollectTx(handoff);
-        if (!checkPattern(pkt.data.data(),
+        if (pkt.len != len ||
+            !checkPattern(pkt.data.data(),
                           static_cast<std::uint32_t>(i), len)) {
             ++result.corrupt;
         }
@@ -178,15 +179,16 @@ runVm2Vm(NetPath &tx_path, NetPath &rx_path, PhysNic &nic,
         auto [pkt, ready] = tx_path.hostCollectTx(handoff);
 
         // The switch hop: hardware (wire-limited) for SR-IOV,
-        // memory-to-memory for software paths.
+        // memory-to-memory for software paths. It carries the frame at
+        // the length the workload sent; a length the sender's
+        // descriptor misstates is counted below.
         const SimNs forwarded =
             through_wire ? nic.txDepart(ready, len) : ready;
-        const SimNs visible = rx_path.hostDeliverRx(
-            pkt.seq, pkt.len, forwarded);
+        const SimNs visible = rx_path.hostDeliverRx(pkt.seq, len, forwarded);
 
         rx_cpu.clock().syncTo(visible);
         const auto [seq, got_len] = rx_path.guestRx();
-        if (seq != i || got_len != len)
+        if (pkt.len != len || seq != i || got_len != len)
             ++result.corrupt;
         rx_done[i % DescRing::ringEntries] = rx_cpu.clock().now();
     }

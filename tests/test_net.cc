@@ -141,6 +141,32 @@ TEST_F(RingTest, PopIgnoresForgedBufferOffset)
     EXPECT_TRUE(checkPattern(p->data.data(), 42, 256));
 }
 
+TEST_F(RingTest, ForgedLengthIsCorruptNotFatal)
+{
+    // A peer can rewrite a published descriptor's len. A len above
+    // bufBytes must not abort the consumer or make it copy past one
+    // slot: the packet pops as one no checker passes, and the ring
+    // goes on working.
+    ASSERT_TRUE(DescRing::pushPattern(io, 1, 256));
+    ASSERT_TRUE(DescRing::pushPattern(io, 2, 512));
+    const std::uint32_t forged = DescRing::bufBytes + 1;
+    io.write(DescRing::descOff + 8, &forged, sizeof(forged));
+
+    auto p = DescRing::pop(io);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p->len, forged);
+    EXPECT_EQ(p->data.size(), DescRing::bufBytes);
+    EXPECT_FALSE(p->data.size() >= p->len &&
+                 checkPattern(p->data.data(), p->seq, p->len));
+
+    auto q = DescRing::pop(io);
+    ASSERT_TRUE(q);
+    EXPECT_EQ(q->seq, 2u);
+    EXPECT_EQ(q->len, 512u);
+    EXPECT_TRUE(checkPattern(q->data.data(), 2, 512));
+    EXPECT_EQ(DescRing::count(io), 0u);
+}
+
 TEST(NetResultMath, RatesDeriveFromSimulatedTime)
 {
     NetResult r;
@@ -257,6 +283,64 @@ TEST_F(NfChainTest, DeterministicAcrossSchemesState)
                   NfChain::drops(io2, 0, nf));
     }
 }
+
+/**
+ * A direct-mapped path whose guest rewrites the len of the descriptor
+ * for packet 0 just after it is produced, in its TX ring and in its
+ * RX ring, with plain stores to the mapped rings.
+ */
+class ForgingGuestPath : public NetPath
+{
+  public:
+    explicit ForgingGuestPath(DirectPath &path) : inner(path) {}
+
+    const char *name() const override { return inner.name(); }
+    cpu::Vcpu &vcpu() override { return inner.vcpu(); }
+
+    SimNs
+    guestTx(std::uint32_t seq, std::uint32_t len) override
+    {
+        const SimNs handoff = inner.guestTx(seq, len);
+        if (seq == 0)
+            forgeLastLen(nicRegionGpa + ringRegionPaged);
+        return handoff;
+    }
+
+    std::pair<std::uint32_t, std::uint32_t>
+    guestRx() override
+    {
+        return inner.guestRx();
+    }
+
+    SimNs
+    hostDeliverRx(std::uint32_t seq, std::uint32_t len,
+                  SimNs wire_done) override
+    {
+        const SimNs ready = inner.hostDeliverRx(seq, len, wire_done);
+        if (seq == 0)
+            forgeLastLen(nicRegionGpa);
+        return ready;
+    }
+
+    std::pair<Packet, SimNs>
+    hostCollectTx(SimNs handoff) override
+    {
+        return inner.hostCollectTx(handoff);
+    }
+
+  private:
+    void
+    forgeLastLen(Gpa ring)
+    {
+        cpu::GuestView v(inner.vcpu(), /*charge_time=*/false);
+        const std::uint32_t prod = v.read<std::uint32_t>(ring);
+        const Gpa desc = ring + DescRing::descOff +
+                         16ull * ((prod - 1) % DescRing::ringEntries);
+        v.write<std::uint32_t>(desc + 8, DescRing::bufBytes + 1);
+    }
+
+    DirectPath &inner;
+};
 
 /** Full five-path fixture on one machine. */
 class PathTest : public ::testing::Test
@@ -386,6 +470,20 @@ TEST_F(PathTest, Vm2VmMovesDataBetweenVms)
     EXPECT_EQ(r.packets, 5000u);
     EXPECT_EQ(r.corrupt, 0u);
     EXPECT_GT(r.mpps(), 1.0);
+}
+
+TEST_F(PathTest, ForgedLengthCountsAsCorrupt)
+{
+    // Each runner takes a length its peer forged for one packet as a
+    // corrupt packet, and the rest of the run goes through.
+    DirectPath direct(hv, guestVm);
+    ForgingGuestPath forging(direct);
+    EXPECT_EQ(runRx(forging, nic, 256, 10).corrupt, 1u);
+    nic.reset();
+    EXPECT_EQ(runTx(forging, nic, 256, 10).corrupt, 1u);
+    nic.reset();
+    DirectPath rx(hv, peerVm);
+    EXPECT_EQ(runVm2Vm(forging, rx, nic, false, 256, 10).corrupt, 1u);
 }
 
 TEST_F(PathTest, Vm2VmElisaBeatsVmcall)
