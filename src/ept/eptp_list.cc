@@ -11,6 +11,10 @@ EptpList::EptpList(mem::HostMemory &memory, mem::FrameAllocator &allocator)
     auto frame = alloc.alloc();
     fatal_if(!frame, "out of physical memory allocating EPTP list");
     page = *frame;
+    // Fault the host page in with a write, as Ept does for a new table:
+    // set() reads a slot before writing it, and a first read would map
+    // the host's shared zero page and fault again on the write.
+    mem.write64(page, 0);
 }
 
 EptpList::~EptpList()
@@ -24,6 +28,8 @@ EptpList::set(EptpIndex index, std::uint64_t eptp)
     panic_if(index >= eptpListSize, "EPTP list index %u out of range",
              index);
     panic_if(eptp == 0, "installing invalid (zero) EPTP");
+    if (mem.read64(page + index * 8ull) == 0)
+        ++valid;
     mem.write64(page + index * 8ull, eptp);
 }
 
@@ -32,6 +38,8 @@ EptpList::clear(EptpIndex index)
 {
     panic_if(index >= eptpListSize, "EPTP list index %u out of range",
              index);
+    if (mem.read64(page + index * 8ull) != 0)
+        --valid;
     mem.write64(page + index * 8ull, 0);
 }
 
@@ -53,17 +61,6 @@ EptpList::find(std::uint64_t eptp) const
             return static_cast<EptpIndex>(i);
     }
     return std::nullopt;
-}
-
-unsigned
-EptpList::validCount() const
-{
-    unsigned count = 0;
-    for (unsigned i = 0; i < eptpListSize; ++i) {
-        if (mem.read64(page + i * 8ull) != 0)
-            ++count;
-    }
-    return count;
 }
 
 } // namespace elisa::ept

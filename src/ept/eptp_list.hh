@@ -83,12 +83,14 @@ class EptpList
     std::optional<EptpIndex> find(std::uint64_t eptp) const;
 
     /** Number of valid entries. */
-    unsigned validCount() const;
+    unsigned validCount() const { return valid; }
 
   private:
     mem::HostMemory &mem;
     mem::FrameAllocator &alloc;
     Hpa page;
+    /** Non-zero entries, kept by set() and clear(). */
+    unsigned valid = 0;
 };
 
 } // namespace elisa::ept

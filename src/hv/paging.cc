@@ -341,10 +341,8 @@ Pager::bringIn(Hpa hpa, SimNs delay)
     // Free the faulting page's slot before making room, so an almost-
     // full swap device can recycle it for a victim; restore it if no
     // room can be made after all.
-    std::vector<std::uint8_t> buf;
     if (!zero_fill) {
-        buf.resize(pageSize);
-        backing.read(frame.slot, buf.data());
+        backing.read(frame.slot, swapInBuf.data());
         backing.free(frame.slot);
     }
     auto evicted = makeRoom(hpa);
@@ -352,7 +350,7 @@ Pager::bringIn(Hpa hpa, SimNs delay)
         if (!zero_fill) {
             auto slot = backing.alloc();
             panic_if(!slot, "freed swap slot vanished");
-            backing.write(*slot, buf.data());
+            backing.write(*slot, swapInBuf.data());
             frame.slot = *slot;
         }
         return std::nullopt;
@@ -362,8 +360,7 @@ Pager::bringIn(Hpa hpa, SimNs delay)
         hv.physMem.zero(hpa, pageSize);
         hv.statSet.inc(zeroFillsId);
     } else {
-        std::memcpy(hv.physMem.raw(hpa, pageSize), buf.data(),
-                    pageSize);
+        hv.physMem.write(hpa, swapInBuf.data(), pageSize);
         --swappedCount;
         hv.frames.addSwapped(frame.owner, -1);
         hv.statSet.inc(pagesInId);

@@ -44,6 +44,7 @@
 #ifndef ELISA_HV_PAGING_HH
 #define ELISA_HV_PAGING_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -293,6 +294,8 @@ class Pager
 
     Hypervisor &hv;
     mem::BackingStore backing;
+    /** A swapped-in page on its way from the store to its frame. */
+    std::array<std::uint8_t, pageSize> swapInBuf;
     std::uint64_t residentLimitFrames;
     std::uint64_t residentCount = 0;
     std::uint64_t swappedCount = 0;

@@ -1,6 +1,7 @@
 #include "hv/telemetry_publisher.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "base/logging.hh"
 #include "cpu/guest_view.hh"
@@ -49,8 +50,8 @@ TelemetryPublisher::addSink(Hpa base, std::uint64_t bytes,
     panic_if(slot > ~std::uint32_t{0},
              "telemetry sink '%s' slot exceeds u32", name.c_str());
     // Fail fast on a wild window rather than at the first publish.
-    hyper.memory().raw(base, Layout::regionBytes(
-                                 static_cast<std::uint32_t>(slot)));
+    std::as_const(hyper.memory())
+        .raw(base, Layout::regionBytes(static_cast<std::uint32_t>(slot)));
     Sink sink{base, static_cast<std::uint32_t>(slot), std::move(name)};
     initRegion(sink);
     sinks.push_back(std::move(sink));

@@ -1,23 +1,37 @@
 #include "mem/frame_allocator.hh"
 
 #include "base/logging.hh"
+#include "mem/bitmap.hh"
 
 namespace elisa::mem
 {
 
 FrameAllocator::FrameAllocator(HostMemory &memory)
     : mem(memory), totalFrames(memory.frameCount()),
-      used(totalFrames, false)
+      used((totalFrames + 63) / 64, 0)
 {
 }
 
 void
 FrameAllocator::handOut(std::uint64_t first, std::uint64_t count)
 {
-    for (std::uint64_t i = first; i < first + count; ++i)
-        used[i] = true;
+    fillBits(used, first, first + count, true);
     mem.zeroWritten(first * pageSize, count * pageSize);
     allocatedFrames += count;
+}
+
+std::optional<std::uint64_t>
+FrameAllocator::findRun(std::uint64_t from, std::uint64_t count) const
+{
+    std::uint64_t base = findBit(used, from, totalFrames, false);
+    while (base < totalFrames && count <= totalFrames - base) {
+        const std::uint64_t taken =
+            findBit(used, base, base + count, true);
+        if (taken == base + count)
+            return base;
+        base = findBit(used, taken, totalFrames, false);
+    }
+    return std::nullopt;
 }
 
 std::optional<Hpa>
@@ -27,24 +41,11 @@ FrameAllocator::alloc(std::uint64_t count)
     if (count > freeFrames())
         return std::nullopt;
 
-    // Rotating first-fit: scan from the hint, wrapping once.
-    auto scan_from = [this, count](std::uint64_t start,
-                                   std::uint64_t end)
-        -> std::optional<std::uint64_t> {
-        std::uint64_t run = 0;
-        for (std::uint64_t i = start; i < end; ++i) {
-            if (used[i]) {
-                run = 0;
-            } else if (++run == count) {
-                return i + 1 - count;
-            }
-        }
-        return std::nullopt;
-    };
-
-    std::optional<std::uint64_t> base = scan_from(searchHint, totalFrames);
+    // Rotating first-fit: the first run at or after the hint, else the
+    // first from frame 0.
+    std::optional<std::uint64_t> base = findRun(searchHint, count);
     if (!base)
-        base = scan_from(0, totalFrames);
+        base = findRun(0, count);
     if (!base)
         return std::nullopt;
 
@@ -64,19 +65,17 @@ FrameAllocator::allocAligned(std::uint64_t count,
     if (count > freeFrames())
         return std::nullopt;
 
-    for (std::uint64_t base = 0; base + count <= totalFrames;
-         base += align_frames) {
-        bool fits = true;
-        for (std::uint64_t i = base; i < base + count; ++i) {
-            if (used[i]) {
-                fits = false;
-                break;
-            }
+    std::uint64_t base = 0;
+    while (base < totalFrames && count <= totalFrames - base) {
+        const std::uint64_t taken = findBit(used, base, base + count, true);
+        if (taken == base + count) {
+            handOut(base, count);
+            return base * pageSize;
         }
-        if (!fits)
-            continue;
-        handOut(base, count);
-        return base * pageSize;
+        // Every aligned base up to the next free frame overlaps a
+        // taken one; go on from the first at or after that frame.
+        const std::uint64_t next = findBit(used, taken, totalFrames, false);
+        base = next + (align_frames - next % align_frames) % align_frames;
     }
     return std::nullopt;
 }
@@ -89,11 +88,10 @@ FrameAllocator::free(Hpa base, std::uint64_t count)
     const std::uint64_t first = base / pageSize;
     panic_if(first + count > totalFrames,
              "freeing frames beyond physical memory");
-    for (std::uint64_t i = first; i < first + count; ++i) {
-        panic_if(!used[i], "double free of frame %llu",
-                 (unsigned long long)i);
-        used[i] = false;
-    }
+    const std::uint64_t hole = findBit(used, first, first + count, false);
+    panic_if(hole != first + count, "double free of frame %llu",
+             (unsigned long long)hole);
+    fillBits(used, first, first + count, false);
     allocatedFrames -= count;
 }
 
@@ -102,7 +100,7 @@ FrameAllocator::isAllocated(Hpa hpa) const
 {
     const std::uint64_t frame = hpa / pageSize;
     panic_if(frame >= totalFrames, "HPA outside physical memory");
-    return used[frame];
+    return (used[frame / 64] >> (frame % 64)) & 1;
 }
 
 void

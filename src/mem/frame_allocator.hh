@@ -153,6 +153,10 @@ class FrameAllocator
     /** Mark [first, first+count) allocated, zeroing written frames. */
     void handOut(std::uint64_t first, std::uint64_t count);
 
+    /** Lowest base at or after @p from of @p count free frames. */
+    std::optional<std::uint64_t> findRun(std::uint64_t from,
+                                         std::uint64_t count) const;
+
     sim::Metrics *metricsPtr = nullptr;
     sim::MetricId freeGauge = 0;
     sim::MetricId allocatedGauge = 0;
@@ -163,7 +167,8 @@ class FrameAllocator
     std::uint64_t allocatedFrames = 0;
     /** Next frame index to start searching from (rotating first fit). */
     std::uint64_t searchHint = 0;
-    std::vector<bool> used;
+    /** One bit per frame: allocated. */
+    std::vector<std::uint64_t> used;
 };
 
 } // namespace elisa::mem

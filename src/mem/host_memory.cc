@@ -3,29 +3,48 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <utility>
 
 #include <sys/mman.h>
 
+#include "mem/bitmap.hh"
+
 namespace elisa::mem
 {
+
+namespace
+{
+
+/** Map @p bytes of zeroed host memory that is backed only once written. */
+void *
+mapLazily(std::uint64_t bytes, const char *what)
+{
+    // MAP_NORESERVE: a machine of several GiB reserves no swap for the
+    // pages it never writes.
+    void *mapping = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    fatal_if(mapping == MAP_FAILED, "cannot map %llu bytes of %s: %s",
+             (unsigned long long)bytes, what, std::strerror(errno));
+    return mapping;
+}
+
+} // anonymous namespace
 
 HostMemory::HostMemory(std::uint64_t bytes)
     : length(bytes), writtenBits((bytes / pageSize + 63) / 64, 0)
 {
     fatal_if(bytes == 0 || !isPageAligned(bytes),
              "physical memory size must be a non-zero multiple of 4 KiB");
-    // MAP_NORESERVE: a machine of several GiB reserves no swap for the
-    // pages it never writes.
-    void *mapping = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    fatal_if(mapping == MAP_FAILED,
-             "cannot map %llu bytes of physical memory: %s",
-             (unsigned long long)bytes, std::strerror(errno));
-    data = static_cast<std::uint8_t *>(mapping);
+    data = static_cast<std::uint8_t *>(
+        mapLazily(bytes, "physical memory"));
+    lineMasks = static_cast<std::uint64_t *>(
+        mapLazily(frameCount() * sizeof(std::uint64_t),
+                  "written-line masks"));
 }
 
 HostMemory::~HostMemory()
 {
+    munmap(lineMasks, frameCount() * sizeof(std::uint64_t));
     munmap(data, length);
 }
 
@@ -38,30 +57,27 @@ HostMemory::written(Hpa hpa) const
     return (writtenBits[frame / 64] >> (frame % 64)) & 1;
 }
 
-void
-HostMemory::markWritten(std::uint64_t first, std::uint64_t last)
+std::uint64_t
+HostMemory::writtenLines(Hpa hpa) const
 {
-    for (std::uint64_t frame = first; frame <= last; ++frame)
-        writtenBits[frame / 64] |= std::uint64_t{1} << (frame % 64);
+    panic_if(!contains(hpa), "HPA %llx outside physical memory",
+             (unsigned long long)hpa);
+    return lineMasks[hpa >> pageShift];
 }
 
-std::uint64_t
-HostMemory::findFrame(std::uint64_t from, std::uint64_t end,
-                      bool set) const
+void
+HostMemory::markSpan(Hpa hpa, std::uint64_t len)
 {
-    while (from < end) {
-        std::uint64_t word = writtenBits[from / 64];
-        if (!set)
-            word = ~word;
-        // Drop the bits below @p from; the zeros shifted in at the top
-        // belong to the next word, which the next round reads.
-        word >>= from % 64;
-        if (word != 0)
-            return std::min<std::uint64_t>(end,
-                                           from + std::countr_zero(word));
-        from = (from / 64 + 1) * 64;
+    const Hpa end = hpa + len;
+    for (Hpa at = hpa; at < end;) {
+        const Hpa frame = pageAlignDown(at);
+        const Hpa next = frame + pageSize;
+        lineMasks[at >> pageShift] |=
+            lineSpan(at - frame, std::min(end, next) - frame);
+        at = next;
     }
-    return end;
+    fillBits(writtenBits, hpa >> pageShift, ((end - 1) >> pageShift) + 1,
+             true);
 }
 
 void
@@ -73,14 +89,33 @@ HostMemory::zeroWritten(Hpa hpa, std::uint64_t len)
              "physical memory",
              (unsigned long long)hpa, (unsigned long long)len);
     const std::uint64_t end = (hpa + len) >> pageShift;
-    std::uint64_t frame = findFrame(hpa >> pageShift, end, true);
-    while (frame < end) {
-        const std::uint64_t stop = findFrame(frame, end, false);
-        std::memset(data + frame * pageSize, 0, (stop - frame) * pageSize);
-        for (; frame < stop; ++frame)
-            writtenBits[frame / 64] &= ~(std::uint64_t{1} << (frame % 64));
-        frame = findFrame(stop, end, true);
+    // The dirty run gathered so far, [run, run_end). A run that reaches
+    // the end of one frame and goes on at the start of the next is
+    // cleared by one memset.
+    Hpa run = 0;
+    Hpa run_end = 0;
+    for (std::uint64_t frame = findBit(writtenBits, hpa >> pageShift, end,
+                                       true);
+         frame < end; frame = findBit(writtenBits, frame + 1, end, true)) {
+        writtenBits[frame / 64] &= ~(std::uint64_t{1} << (frame % 64));
+        std::uint64_t mask = std::exchange(lineMasks[frame], 0);
+        while (mask != 0) {
+            const unsigned first = std::countr_zero(mask);
+            const unsigned lines = std::countr_one(mask >> first);
+            const Hpa start = frame * pageSize + first * lineBytes;
+            if (start != run_end) {
+                if (run != run_end)
+                    std::memset(data + run, 0, run_end - run);
+                run = start;
+            }
+            run_end = start + lines * lineBytes;
+            // Adding the lowest set bit carries through its run of
+            // ones and clears it; a run up to bit 63 carries out to 0.
+            mask &= mask + (std::uint64_t{1} << first);
+        }
     }
+    if (run != run_end)
+        std::memset(data + run, 0, run_end - run);
 }
 
 } // namespace elisa::mem

@@ -5,10 +5,12 @@
  * The machine's physical address space is one contiguous range starting
  * at HPA 0, backed by one anonymous host mapping. Pages the simulation
  * never writes stay unbacked and read as zero, so a machine costs host
- * memory in proportion to what it touches. One bit per 4 KiB frame
- * records "written since last zeroed": every mutable access sets it, so
- * a frame whose bit is clear reads as zero, and zeroWritten() scrubs
- * only the frames that need it. Raw access is reserved to
+ * memory in proportion to what it touches. Every mutable access records
+ * which 64-byte lines it wrote since they were last zeroed: one bit per
+ * line in a mask per 4 KiB frame, and one summary bit per frame that
+ * says its mask is not empty. A line whose bit is clear reads as zero,
+ * and zeroWritten() scrubs only the lines that need it. Raw access is
+ * reserved to
  * "hardware" and hypervisor code (EPT walker, NIC DMA, host-interposition
  * handlers); guest software must go through cpu::GuestView, which applies
  * the EPT translation and permission checks.
@@ -54,12 +56,17 @@ class HostMemory
         return len != 0 && hpa < size() && len <= size() - hpa;
     }
 
+    /** Bytes per tracked line: a frame has 64 of them. */
+    static constexpr std::uint64_t lineBytes = 64;
+
     /**
      * Raw pointer to host bytes backing @p hpa (privileged access), for
-     * writing: marks every frame of [hpa, hpa+len) written, so the
-     * caller must not write outside that range. Panics when the range
-     * escapes physical memory: simulated hardware and the hypervisor
-     * are trusted and must not emit wild addresses.
+     * writing: marks every line of [hpa, hpa+len) written, so the
+     * caller must not write outside that range. Marking more than it
+     * writes only costs a scrub; writing more than it marks leaks the
+     * bytes to the frame's next owner. Panics when the range escapes
+     * physical memory: simulated hardware and the hypervisor are
+     * trusted and must not emit wild addresses.
      */
     std::uint8_t *
     raw(Hpa hpa, std::uint64_t len = 1)
@@ -67,10 +74,14 @@ class HostMemory
         panic_if(!contains(hpa, len),
                  "HPA range [%llx, +%llx) outside physical memory",
                  (unsigned long long)hpa, (unsigned long long)len);
-        const std::uint64_t frame = hpa >> pageShift;
-        writtenBits[frame / 64] |= std::uint64_t{1} << (frame % 64);
-        if ((hpa & pageMask) + len > pageSize)
-            markWritten(frame + 1, (hpa + len - 1) >> pageShift);
+        const std::uint64_t off = hpa & pageMask;
+        if (off + len > pageSize) {
+            markSpan(hpa, len);
+        } else {
+            const std::uint64_t frame = hpa >> pageShift;
+            lineMasks[frame] |= lineSpan(off, off + len);
+            writtenBits[frame / 64] |= std::uint64_t{1} << (frame % 64);
+        }
         return data + hpa;
     }
 
@@ -122,33 +133,50 @@ class HostMemory
     }
 
     /**
-     * True when the frame holding @p hpa was written since it was last
-     * zeroed by zeroWritten(). A frame whose bit is clear reads as zero.
+     * True when some line of the frame holding @p hpa was written since
+     * the frame was last zeroed by zeroWritten().
      */
     bool written(Hpa hpa) const;
 
     /**
-     * Zero the frames of the page-aligned range [hpa, hpa+len) that were
+     * The lines of the frame holding @p hpa written since the frame was
+     * last zeroed: bit i covers bytes [i * lineBytes, (i+1) * lineBytes)
+     * of the frame. A line whose bit is clear reads as zero.
+     */
+    std::uint64_t writtenLines(Hpa hpa) const;
+
+    /**
+     * Zero the lines of the page-aligned range [hpa, hpa+len) that were
      * written since they were last zeroed, one memset per run of such
-     * frames, and clear their written bits. The range then reads as
-     * zero; frames never written are not touched.
+     * lines, and clear their bits. The range then reads as zero; lines
+     * never written are not touched.
      */
     void zeroWritten(Hpa hpa, std::uint64_t len);
 
   private:
-    /** Set the written bits of frames [first, last]. */
-    void markWritten(std::uint64_t first, std::uint64_t last);
+    static_assert(pageSize / lineBytes == 64, "one mask word per frame");
 
-    /**
-     * First frame in [from, end) whose written bit equals @p set, or
-     * @p end when there is none.
-     */
-    std::uint64_t findFrame(std::uint64_t from, std::uint64_t end,
-                            bool set) const;
+    /** Mask of the lines holding bytes [first, end) of one frame. */
+    static std::uint64_t
+    lineSpan(std::uint64_t first, std::uint64_t end)
+    {
+        const std::uint64_t lo = first / lineBytes;
+        const std::uint64_t hi = (end - 1) / lineBytes;
+        return (~std::uint64_t{0} >> (63 - hi)) & (~std::uint64_t{0} << lo);
+    }
+
+    /** Mark the lines of [hpa, hpa+len), which crosses a frame. */
+    void markSpan(Hpa hpa, std::uint64_t len);
 
     std::uint8_t *data = nullptr;
     std::uint64_t length;
-    /** One bit per frame: written since it was last zeroed. */
+    /**
+     * One written-line mask per frame, mapped like the memory itself:
+     * a page of masks costs host memory only once a frame it covers is
+     * written.
+     */
+    std::uint64_t *lineMasks = nullptr;
+    /** One bit per frame: its line mask is not empty. */
     std::vector<std::uint64_t> writtenBits;
 };
 

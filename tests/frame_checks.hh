@@ -1,6 +1,6 @@
 /**
  * @file
- * Test helper for HostMemory's written-frame bitmap.
+ * Test helper for HostMemory's written-line bookkeeping.
  */
 
 #ifndef ELISA_TESTS_FRAME_CHECKS_HH
@@ -17,22 +17,34 @@ namespace elisa::test
 {
 
 /**
- * Frames of @p memory whose written bit is clear yet which hold a
- * non-zero byte. Empty unless a write path skipped the bit, which would
- * let the allocator hand a dead owner's bytes to the next one.
+ * Audit of the whole machine: the 64-byte lines of @p memory (as
+ * HPA / lineBytes) that hold a non-zero byte although zeroWritten()
+ * would skip them, because their line bit or their frame's summary bit
+ * is clear. Empty unless a write path marked fewer lines than it wrote
+ * or zeroWritten() left a line dirty, either of which would let the
+ * allocator hand a dead owner's bytes to the next one.
  */
 inline std::vector<std::uint64_t>
-unwrittenFramesWithBytes(const mem::HostMemory &memory)
+unwrittenLinesWithBytes(const mem::HostMemory &memory)
 {
+    constexpr std::uint64_t line = mem::HostMemory::lineBytes;
     static const std::uint8_t zeros[pageSize] = {};
-    std::vector<std::uint64_t> frames;
+    std::vector<std::uint64_t> bad;
     for (std::uint64_t frame = 0; frame < memory.frameCount(); ++frame) {
         const Hpa hpa = frame * pageSize;
-        if (!memory.written(hpa) &&
-            std::memcmp(memory.raw(hpa, pageSize), zeros, pageSize) != 0)
-            frames.push_back(frame);
+        const std::uint64_t mask =
+            memory.written(hpa) ? memory.writtenLines(hpa) : 0;
+        const std::uint8_t *bytes = memory.raw(hpa, pageSize);
+        if (mask == ~std::uint64_t{0} ||
+            (mask == 0 && std::memcmp(bytes, zeros, pageSize) == 0))
+            continue;
+        for (std::uint64_t i = 0; i < pageSize / line; ++i) {
+            if (!((mask >> i) & 1) &&
+                std::memcmp(bytes + i * line, zeros, line) != 0)
+                bad.push_back(hpa / line + i);
+        }
     }
-    return frames;
+    return bad;
 }
 
 } // namespace elisa::test

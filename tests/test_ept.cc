@@ -580,6 +580,30 @@ TEST_F(EptpListTest, FullListHasNoFreeSlot)
     EXPECT_EQ(list.validCount(), eptpListSize);
 }
 
+TEST_F(EptpListTest, ValidCountMatchesAScanOfThePage)
+{
+    // set() and clear() keep the count: random sequences, re-setting
+    // valid entries and clearing empty ones included, must leave it
+    // equal to a count of the page's non-zero slots.
+    for (unsigned seed : {1u, 2u, 3u}) {
+        sim::Rng rng(seed);
+        EptpList list(memory, alloc);
+        for (int step = 0; step < 20000; ++step) {
+            const auto index =
+                static_cast<EptpIndex>(rng.below(rng.chance(0.5) ? 8 : 512));
+            if (rng.chance(0.55))
+                list.set(index, (1 + rng.below(1000)) << 12 | 0x1e);
+            else
+                list.clear(index);
+            unsigned scanned = 0;
+            for (unsigned i = 0; i < eptpListSize; ++i)
+                scanned += memory.read64(list.pageAddr() + i * 8ull) != 0;
+            ASSERT_EQ(list.validCount(), scanned)
+                << "seed " << seed << " step " << step;
+        }
+    }
+}
+
 // ---- TLB ------------------------------------------------------------
 
 TEST(Tlb, HitAfterFillMissBefore)

@@ -54,7 +54,7 @@ TEST(HostResidency, UntouchedRamStaysNonResident)
     for (int i = 0; i < 12; ++i)
         machine.createVm("guest" + std::to_string(i), 32 * MiB);
 
-    mem::HostMemory &memory = machine.memory();
+    const mem::HostMemory &memory = machine.memory();
     const std::uintptr_t host_page = sysconf(_SC_PAGESIZE);
     const auto start = reinterpret_cast<std::uintptr_t>(memory.raw(0));
     const std::uintptr_t first = start / host_page * host_page;

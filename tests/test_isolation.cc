@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "base/units.hh"
@@ -24,6 +26,9 @@
 #include "frame_checks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/ivshmem.hh"
+#include "hv/paging.hh"
+#include "hv/telemetry_publisher.hh"
+#include "sim/metrics.hh"
 
 namespace
 {
@@ -85,8 +90,129 @@ TEST_F(IsolationTest, SuccessorVmOnADeadVmsFramesReadsZero)
     cpu::GuestView(successor.vcpu(0)).readBytes(0, seen.data(), ram);
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
               static_cast<std::ptrdiff_t>(ram));
-    // Every write path set its frames' written bits.
-    EXPECT_TRUE(test::unwrittenFramesWithBytes(hv.memory()).empty());
+    // Every write path marked the lines it wrote.
+    EXPECT_TRUE(test::unwrittenLinesWithBytes(hv.memory()).empty());
+}
+
+// ---- Whole-machine line audit over VM churn ------------------------
+
+/**
+ * VM lifecycles on a small machine until rotating first fit has wrapped
+ * twice, with the line audit after every step: no create, attach, gate
+ * call, write, detach or destroy may leave a non-zero byte in a line
+ * that zeroWritten would skip. Writes end one byte into a line or page
+ * through every mutable path: HostMemory, GuestView, the gate's
+ * exchange buffer and shared functions, an ivshmem region, a telemetry
+ * sink and, every other round, the pager's poisoning, page-outs and
+ * page-ins. RAM of 257 pages and a region of 65 map a last EPT entry
+ * that opens a line of its leaf table.
+ */
+TEST(LineAuditChurn, NoStepLeavesBytesInUnwrittenLines)
+{
+    hv::Hypervisor hv(8 * MiB);
+    hv::Pager &pager = hv.enablePaging({8, 256});
+    ElisaService svc(hv);
+    hv::Vm &managerVm = hv.createVm("manager", 1 * MiB);
+    ElisaManager manager(managerVm, svc);
+    SharedFnTable fns;
+    fns.push_back([](SubCallCtx &ctx) { // object[arg0..] = exch[0, arg1)
+        ctx.view.copyBytes(ctx.obj + ctx.arg0, ctx.exch, ctx.arg1);
+        return std::uint64_t{0};
+    });
+    fns.push_back([](SubCallCtx &ctx) { // object[arg0] = arg1
+        ctx.view.write<std::uint64_t>(ctx.obj + ctx.arg0, ctx.arg1);
+        return std::uint64_t{0};
+    });
+    const ExportKey key("audit");
+    ASSERT_TRUE(manager.exportObject(key, 3 * pageSize, fns));
+
+    std::vector<std::uint8_t> bytes(3 * pageSize);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(1 + i % 251);
+    constexpr std::uint64_t ones = ~std::uint64_t{0};
+    constexpr Gpa shmGpa = 0x40000000;
+    sim::Metrics metrics;
+    int round = 0;
+    const auto audit = [&](const char *step) {
+        const std::vector<std::uint64_t> bad =
+            test::unwrittenLinesWithBytes(hv.memory());
+        if (bad.empty())
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "round " << round << ", after " << step << ": "
+               << bad.size() << " lines, the first line " << bad[0] % 64
+               << " of frame " << bad[0] / 64;
+    };
+
+    Hpa lastProbe = 0;
+    for (unsigned wraps = 0; wraps < 2; ++round) {
+        ASSERT_LT(round, 200);
+        hv::Vm &vm = hv.createVm("tenant", MiB + pageSize);
+        if (round % 2 == 1)
+            pager.manageVmRam(vm, true);
+        ASSERT_TRUE(audit("create"));
+        {
+            hv::IvshmemRegion shm(hv, "shm", 65 * pageSize);
+            ASSERT_TRUE(shm.attach(vm, shmGpa));
+            ASSERT_TRUE(audit("ivshmem attach"));
+            ElisaGuest guest(vm, svc);
+            AttachResult attached = guest.tryAttach(key, manager);
+            ASSERT_TRUE(attached.ok());
+            Gate gate = attached.take();
+            ASSERT_TRUE(audit("attach"));
+
+            gate.writeExchange(63, bytes.data(), 66);
+            ASSERT_TRUE(audit("exchange write"));
+            gate.call(0, pageSize - 1, 66);
+            ASSERT_TRUE(audit("gate copy"));
+            gate.call(1, 2 * pageSize - 7, ones);
+            ASSERT_TRUE(audit("gate store"));
+
+            cpu::GuestView view(vm.vcpu(0));
+            view.writeBytes(pageSize - 1, bytes.data(), 66);
+            view.write<std::uint64_t>(3 * pageSize - 7, ones);
+            // More pages than the Pager's budget: pages 0-3 go out and
+            // come back in for the copy.
+            for (Gpa page = 8; page < 18; ++page)
+                view.write<std::uint64_t>(page * pageSize + 57, ones);
+            view.copyBytes(5 * pageSize + 63, pageSize - 1, 2 * pageSize + 2);
+            view.writeBytes(shmGpa + 127, bytes.data(), 2 * pageSize + 2);
+            view.zeroBytes(shmGpa + 8 * pageSize + 1, 64);
+            ASSERT_TRUE(audit("guest writes"));
+
+            mem::HostMemory &pm = hv.memory();
+            pm.write64(shm.base() + 12 * pageSize - 7, ones);
+            pm.write(shm.base() + 13 * pageSize - 1, bytes.data(),
+                     pageSize + 2);
+            std::memset(pm.raw(shm.base() + 16 * pageSize + 1, 64), 0xa5,
+                        64);
+            pm.zero(shm.base() + 17 * pageSize + 1, 64);
+            ASSERT_TRUE(audit("host writes"));
+
+            hv::TelemetryPublisher publisher(hv, metrics);
+            publisher.addSink(shm.base() + 20 * pageSize, 4 * pageSize,
+                              "audit");
+            publisher.publish(1000 + round);
+            ASSERT_TRUE(audit("telemetry publish"));
+
+            ASSERT_TRUE(gate.detach());
+            ASSERT_TRUE(audit("detach"));
+            shm.detach(vm, shmGpa);
+        }
+        ASSERT_TRUE(audit("ivshmem free"));
+        hv.destroyVm(vm.id());
+        ASSERT_TRUE(audit("destroy"));
+
+        // A probe frame lands where rotating first fit stands.
+        const std::optional<Hpa> probe = hv.allocator().alloc();
+        ASSERT_TRUE(probe);
+        hv.allocator().free(*probe);
+        wraps += *probe < lastProbe;
+        lastProbe = *probe;
+    }
+    EXPECT_GT(round, 4);
+    EXPECT_GT(hv.stats().get("pager_pages_swapped_out"), 0u);
+    EXPECT_GT(hv.stats().get("pager_pages_swapped_in"), 0u);
 }
 
 // ---- The direct-mapping hazard the paper motivates -----------------

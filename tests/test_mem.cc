@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -233,6 +234,164 @@ TEST_P(FrameAllocatorProperty, NoOverlapUnderRandomWorkload)
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameAllocatorProperty,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u));
 
+TEST(FrameAllocatorDeathTest, DoubleFreePanics)
+{
+    EXPECT_DEATH(
+        {
+            HostMemory memory(16 * pageSize);
+            FrameAllocator alloc(memory);
+            const Hpa run = *alloc.alloc(4);
+            alloc.free(run + 2 * pageSize, 2);
+            alloc.free(run, 4);
+        },
+        "double free of frame 2");
+}
+
+/**
+ * The frame allocator as it was written before its bitmap went word at
+ * a time: one bit per frame, tested one at a time. Placement is part of
+ * the simulated result (HPAs hash into TLB sets), so the word-at-a-time
+ * search must pick the frames this one picks.
+ */
+class BitAtATimeAllocator
+{
+  public:
+    explicit BitAtATimeAllocator(std::uint64_t frames) : used(frames) {}
+
+    std::optional<std::uint64_t>
+    alloc(std::uint64_t count)
+    {
+        if (count > used.size() - allocated)
+            return std::nullopt;
+        auto scan_from = [this, count](std::uint64_t start)
+            -> std::optional<std::uint64_t> {
+            std::uint64_t run = 0;
+            for (std::uint64_t i = start; i < used.size(); ++i) {
+                if (used[i])
+                    run = 0;
+                else if (++run == count)
+                    return i + 1 - count;
+            }
+            return std::nullopt;
+        };
+        std::optional<std::uint64_t> base = scan_from(hint);
+        if (!base)
+            base = scan_from(0);
+        if (!base)
+            return std::nullopt;
+        take(*base, count);
+        hint = *base + count == used.size() ? 0 : *base + count;
+        return base;
+    }
+
+    std::optional<std::uint64_t>
+    allocAligned(std::uint64_t count, std::uint64_t align)
+    {
+        if (count > used.size() - allocated)
+            return std::nullopt;
+        for (std::uint64_t base = 0; base + count <= used.size();
+             base += align) {
+            bool fits = true;
+            for (std::uint64_t i = base; i < base + count && fits; ++i)
+                fits = !used[i];
+            if (fits) {
+                take(base, count);
+                return base;
+            }
+        }
+        return std::nullopt;
+    }
+
+    void
+    free(std::uint64_t first, std::uint64_t count)
+    {
+        for (std::uint64_t i = first; i < first + count; ++i)
+            used[i] = false;
+        allocated -= count;
+    }
+
+    std::vector<bool> used;
+    std::uint64_t allocated = 0;
+
+  private:
+    void
+    take(std::uint64_t first, std::uint64_t count)
+    {
+        for (std::uint64_t i = first; i < first + count; ++i)
+            used[i] = true;
+        allocated += count;
+    }
+
+    std::uint64_t hint = 0;
+};
+
+/**
+ * Differential: FrameAllocator and the bit-at-a-time reference, driven
+ * by one seeded sequence of runs of 1-600 frames, 2 MiB-aligned runs of
+ * 512, runs aligned to other powers of two and frees, on a machine
+ * whose frame count is not a multiple of 64 and that runs out and wraps
+ * often, return the same frames and agree on every frame's state after
+ * every operation.
+ */
+class FrameAllocatorDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(FrameAllocatorDifferential, PlacementMatchesBitAtATime)
+{
+    sim::Rng rng(GetParam());
+    constexpr std::uint64_t frames = 2085;
+    HostMemory memory(frames * pageSize);
+    FrameAllocator alloc(memory);
+    BitAtATimeAllocator ref(frames);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
+    std::uint64_t failed = 0;
+    for (int step = 0; step < 100000; ++step) {
+        const unsigned op = static_cast<unsigned>(rng.below(100));
+        if (live.empty() || op < 52) {
+            std::optional<Hpa> got;
+            std::optional<std::uint64_t> want;
+            std::uint64_t count = 512;
+            if (op < 5) {
+                got = alloc.allocAligned(count, 512);
+                want = ref.allocAligned(count, 512);
+            } else if (op < 8) {
+                count = 1 + rng.below(600);
+                const std::uint64_t align = std::uint64_t{1} << rng.below(10);
+                got = alloc.allocAligned(count, align);
+                want = ref.allocAligned(count, align);
+            } else {
+                count = 1 + (rng.chance(0.5) ? rng.below(8) : rng.below(600));
+                got = alloc.alloc(count);
+                want = ref.alloc(count);
+            }
+            ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(*got, *want * pageSize) << "step " << step;
+                live.emplace_back(*want, count);
+            } else {
+                ++failed;
+            }
+        } else {
+            const std::size_t pick = rng.below(live.size());
+            alloc.free(live[pick].first * pageSize, live[pick].second);
+            ref.free(live[pick].first, live[pick].second);
+            live[pick] = live.back();
+            live.pop_back();
+        }
+        ASSERT_EQ(alloc.allocated(), ref.allocated) << "step " << step;
+        std::uint64_t differ = 0;
+        for (std::uint64_t f = 0; f < frames; ++f)
+            differ += alloc.isAllocated(f * pageSize) != ref.used[f];
+        ASSERT_EQ(differ, 0u) << "step " << step;
+    }
+    // The sequence did run the machine out, often.
+    EXPECT_GT(failed, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FrameAllocatorDifferential,
+                         ::testing::Values(1u, 2u));
+
 TEST(HostMemory, WrittenBitsFollowMutableAccess)
 {
     HostMemory m(16 * pageSize);
@@ -241,16 +400,49 @@ TEST(HostMemory, WrittenBitsFollowMutableAccess)
     std::as_const(m).raw(0x2000, 2 * pageSize);
     EXPECT_FALSE(m.written(0x1000)); // reads mark nothing
     EXPECT_FALSE(m.written(0x3000));
+    EXPECT_EQ(m.writtenLines(0x2000), 0u);
     m.raw(0x4ff8, 16);               // spans two frames
     EXPECT_TRUE(m.written(0x4000));
     EXPECT_TRUE(m.written(0x5000));
     EXPECT_FALSE(m.written(0x6000));
+    EXPECT_EQ(m.writtenLines(0x4000), std::uint64_t{1} << 63);
+    EXPECT_EQ(m.writtenLines(0x5000), 1u);
 
     m.write64(0x7000, 1);
     m.zeroWritten(0x4000, 4 * pageSize); // frames 4..7
     EXPECT_FALSE(m.written(0x4000));
     EXPECT_FALSE(m.written(0x7000));
+    EXPECT_EQ(m.writtenLines(0x4000), 0u);
     EXPECT_EQ(m.read64(0x7000), 0u);
+
+    m.write64(0x8040, 1); // line 1 of frame 8
+    EXPECT_EQ(m.writtenLines(0x8000), 0b10u);
+    m.raw(0x80bf, 2); // the last byte of line 2, the first of line 3
+    EXPECT_EQ(m.writtenLines(0x8000), 0b1110u);
+    // The last line of frame 9, all of frame 10, the first line of 11.
+    m.raw(0x9fc0, pageSize + 0x41);
+    EXPECT_EQ(m.writtenLines(0x9000), std::uint64_t{1} << 63);
+    EXPECT_EQ(m.writtenLines(0xa000), ~std::uint64_t{0});
+    EXPECT_EQ(m.writtenLines(0xb000), 1u);
+    for (Hpa frame = 0; frame < 16 * pageSize; frame += pageSize)
+        EXPECT_EQ(m.written(frame), m.writtenLines(frame) != 0) << frame;
+}
+
+TEST(HostMemory, ZeroWrittenScrubsTheWrittenLines)
+{
+    HostMemory m(16 * pageSize);
+    const std::vector<std::uint8_t> ones(3 * pageSize, 0xff);
+    m.write(0x1fc1, ones.data(), 0x80);       // a run across frames 1-2
+    m.write(0x2800, ones.data(), 1);          // a run of one line
+    m.write(0x3000, ones.data(), 2 * pageSize); // whole frames 3 and 4
+    m.write64(0x5ff8, ~std::uint64_t{0});     // the last line of frame 5
+    m.zeroWritten(0x1000, 5 * pageSize);
+    for (Hpa frame = 0x1000; frame < 0x6000; frame += pageSize) {
+        EXPECT_FALSE(m.written(frame)) << frame;
+        EXPECT_EQ(m.writtenLines(frame), 0u) << frame;
+    }
+    EXPECT_EQ(countZeroBytes(m, 0, 16), 16 * pageSize);
+    EXPECT_TRUE(test::unwrittenLinesWithBytes(m).empty());
 }
 
 /** A vCPU handler for guests that make no hypercall. */
@@ -354,8 +546,8 @@ TEST_P(WrittenFramesProperty, HandedOutRunsReadZero)
     }
     EXPECT_GT(handedOut, 2000u);
     const std::vector<std::uint64_t> leaked =
-        test::unwrittenFramesWithBytes(memory);
-    EXPECT_TRUE(leaked.empty()) << leaked.size() << " frames, first "
+        test::unwrittenLinesWithBytes(memory);
+    EXPECT_TRUE(leaked.empty()) << leaked.size() << " lines, first "
                                 << (leaked.empty() ? 0 : leaked[0]);
 }
 

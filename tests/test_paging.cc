@@ -166,8 +166,8 @@ TEST_F(PagingTest, SuccessorVmOnPoisonedFramesReadsZero)
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 0),
               static_cast<std::ptrdiff_t>(ram));
     // Every write path, the pager's poisoning and page-ins included,
-    // set its frames' written bits.
-    EXPECT_TRUE(test::unwrittenFramesWithBytes(hv.memory()).empty());
+    // marked the lines it wrote.
+    EXPECT_TRUE(test::unwrittenLinesWithBytes(hv.memory()).empty());
 }
 
 TEST_F(PagingTest, L0MicroCacheStaleAcrossReclaimRefaults)

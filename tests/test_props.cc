@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -216,7 +217,7 @@ TEST_P(GuestViewProperty, MirrorsHostMemoryExactly)
 
     // The shadow also matches the raw backing frames.
     const Hpa hpa = vm.ramGpaToHpa(base);
-    ASSERT_EQ(std::memcmp(hv.memory().raw(hpa, shadow.size()),
+    ASSERT_EQ(std::memcmp(std::as_const(hv.memory()).raw(hpa, shadow.size()),
                           shadow.data(), shadow.size()),
               0);
 }

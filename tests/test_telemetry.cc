@@ -267,7 +267,7 @@ TEST(Snapshot, UnknownSectionsAreSkipped)
 class RegionReader
 {
   public:
-    RegionReader(mem::HostMemory &mem, Hpa base)
+    RegionReader(const mem::HostMemory &mem, Hpa base)
         : pm(mem), at(base)
     {
     }
@@ -298,7 +298,7 @@ class RegionReader
     }
 
   private:
-    mem::HostMemory &pm;
+    const mem::HostMemory &pm;
     Hpa at;
 };
 
