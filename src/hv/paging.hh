@@ -24,16 +24,21 @@
  * overcommitted machine. Reclaim is clock second-chance over the leaf
  * accessed flags (Ept::accessedAndClear), with per-VM balloon targets:
  * frames of VMs over their target are evicted without a second chance.
+ * A page-in is all or nothing: one that cannot make room (too few
+ * swap slots for its victims) changes nothing and fails.
  *
  * Sharing: one physical frame may be mapped by several EPT contexts
  * (the owner's default context plus ELISA sub-context windows or
  * ivshmem attachments). The Pager tracks every mapping of a managed
- * frame and keeps their leaves in lock-step — a swap-out demotes all
- * of them (followed by INVEPT of each affected context, which also
- * bumps the TLB epochs that guard per-GuestView L0 micro-caches), a
- * page-in promotes all of them. A fault on a shared object page
- * mid-gate-call is therefore serviced transparently and billed to the
- * *faulting* guest, not the object's owner.
+ * frame, with the leaf slot it resolved when the mapping was
+ * registered (an Ept frees its tables only when destroyed, and every
+ * mapping is dropped before its context dies), and keeps their leaves
+ * in lock-step — a swap-out demotes all of them (followed by INVEPT of
+ * each affected context, which also bumps the TLB epochs that guard
+ * per-GuestView L0 micro-caches), a page-in promotes all of them. A
+ * fault on a shared object page mid-gate-call is therefore serviced
+ * transparently and billed to the *faulting* guest, not the object's
+ * owner.
  *
  * Honesty: swap-out poisons the frame bytes (0x5a) after writing them
  * to the store, and demand-zero management poisons at registration, so
@@ -44,9 +49,7 @@
 #ifndef ELISA_HV_PAGING_HH
 #define ELISA_HV_PAGING_HH
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -54,6 +57,7 @@
 #include "cpu/vcpu.hh"
 #include "ept/ept.hh"
 #include "mem/backing_store.hh"
+#include "mem/frame_allocator.hh"
 #include "sim/stats.hh"
 
 namespace elisa::hv
@@ -102,7 +106,8 @@ class Pager
      * Put a page range under pager management. @p ept must currently
      * map every page of [@p gpa, @p gpa + @p len) as a present 4 KiB
      * leaf onto [@p hpa, @p hpa + @p len) (large pages are never
-     * managed — map managed ranges 4 KiB-granular). With
+     * managed — map managed ranges 4 KiB-granular; a page without a
+     * 4 KiB leaf panics). @p owner must be a live VM. With
      * @p demand_zero the pages start ZeroPending: leaves are demoted
      * to Ballooned, the frames are poisoned, and the first touch
      * faults in a zero page — any bytes previously there are lost, so
@@ -130,9 +135,10 @@ class Pager
     /**
      * Register an additional mapping of already-managed frames
      * (a sub-context object window, an ivshmem attachment). Pages of
-     * [@p hpa, @p hpa + @p len) that are not managed are skipped.
-     * Leaves of non-resident frames are immediately demoted to match
-     * the frame state (the caller just mapped them present).
+     * [@p hpa, @p hpa + @p len) that are not managed are skipped; a
+     * managed page without a 4 KiB leaf panics. Leaves of non-resident
+     * frames are immediately demoted to match the frame state (the
+     * caller just mapped them present).
      */
     void addMirror(ept::Ept &ept, Gpa gpa, Hpa hpa, std::uint64_t len);
 
@@ -174,9 +180,9 @@ class Pager
      * Resolve an EPT violation raised under @p vcpu's active context.
      * Returns true when the faulting page was brought in (the CPU
      * re-executes the access), false when the fault is not the pager's
-     * (not a managed page, a permission violation, swap exhausted, an
-     * injected page-in error). May throw cpu::VmExitEvent when an
-     * injected KillVm dooms the faulting VM mid-page-in.
+     * (not a managed page, a permission violation, no room can be
+     * made, an injected page-in error). May throw cpu::VmExitEvent
+     * when an injected KillVm dooms the faulting VM mid-page-in.
      */
     bool resolve(cpu::Vcpu &vcpu, const ept::EptViolation &violation);
 
@@ -186,8 +192,8 @@ class Pager
      * an exit, billing the service cost (fault handler + swap I/O +
      * any evictions, but no vmexit/vmentry — the caller already paid
      * for its exit) to @p billed.
-     * @return false when any page-in fails (swap exhausted, injected
-     *         error); earlier pages stay resident.
+     * @return false when any page-in fails (no room can be made,
+     *         injected error); earlier pages stay resident.
      */
     bool hostTouch(cpu::Vcpu &billed, Hpa hpa, std::uint64_t len);
 
@@ -199,7 +205,7 @@ class Pager
     std::uint64_t swappedFrames() const { return swappedCount; }
 
     /** Total managed frames (any state). */
-    std::uint64_t managedFrames() const { return framesByHpa.size(); }
+    std::uint64_t managedFrames() const { return frames.size(); }
 
     /** Current resident budget (0 = no cap). */
     std::uint64_t residentLimit() const { return residentLimitFrames; }
@@ -217,12 +223,17 @@ class Pager
         std::uint64_t eptp;
         ept::Ept *ept;
         Gpa gpa;
+        ept::Ept::Leaf leaf; ///< resolved at registration
     };
 
     /** One managed physical frame. */
     struct Frame
     {
-        VmId owner = invalidVmId;
+        Hpa hpa;
+        VmId owner;
+        /** The owner's occupancy book entry (lives as long as the
+         *  owner, whose frames onVmDestroy drops first). */
+        const mem::FrameAllocator::OwnerUsage *usage;
         FrameState state = FrameState::Resident;
         std::uint64_t slot = 0; ///< store slot when Swapped
         std::vector<Mapping> mappings;
@@ -231,38 +242,46 @@ class Pager
     /** One managed GPA range of a context (fault lookup). */
     struct Range
     {
+        std::uint64_t eptp;
         Gpa gpa;
         Hpa hpa;
         std::uint64_t len;
     };
 
-    /** Managed frame backing @p gpa under @p eptp, or nullopt. */
-    std::optional<Hpa> findFrame(std::uint64_t eptp, Gpa gpa) const;
+    /** Index of the first managed frame at or above @p hpa. */
+    std::size_t frameIndex(Hpa hpa) const;
+
+    /** Managed frame at @p hpa, or nullptr. */
+    Frame *findManaged(Hpa hpa);
+    const Frame *findManaged(Hpa hpa) const;
+
+    /** First range at or after (@p eptp, @p gpa) in table order. */
+    std::vector<Range>::iterator rangeAtOrAfter(std::uint64_t eptp,
+                                                Gpa gpa);
+
+    /** Managed frame backing @p gpa under @p eptp, or nullptr. */
+    Frame *findFrame(std::uint64_t eptp, Gpa gpa);
+
+    /**
+     * Register a mapping of @p frame by @p ept at @p gpa, demoting its
+     * leaf when the frame is not resident.
+     */
+    void addMapping(Frame &frame, ept::Ept &ept, Gpa gpa);
 
     /**
      * Clock second-chance victim selection: first resident frame that
      * is over its owner's balloon target, else first whose accessed
      * flags (across every mapping) are already clear; referenced
-     * frames get their flags cleared and one more lap. Never returns
-     * @p except.
+     * frames get their flags cleared and one more lap.
      */
-    std::optional<Hpa> pickVictim(Hpa except);
-
-    /** True when @p owner is over its balloon target. */
-    bool ownerOverTarget(VmId owner) const;
+    Frame *pickVictim();
 
     /**
-     * Swap @p hpa out: write the store, demote every mapping's leaf,
-     * INVEPT the affected contexts, poison the frame.
-     * @return false when the store is full (frame stays resident).
+     * Swap @p frame out into a free store slot: write the store,
+     * demote every mapping's leaf, INVEPT the affected contexts,
+     * poison the frame.
      */
-    bool evictFrame(Hpa hpa);
-
-    /**
-     * Evict until a page-in fits under the resident budget.
-     * @return number of evictions, or nullopt when no victim fits.
-     */
-    std::optional<unsigned> makeRoom(Hpa except);
+    void evictFrame(Frame &frame);
 
     /** What one page-in actually did (bringIn result). */
     struct ServiceResult
@@ -273,14 +292,13 @@ class Pager
     };
 
     /**
-     * Commit one page-in of the managed frame at @p hpa: make room
-     * under the resident budget, restore the bytes (store read or
-     * zero fill), promote every mapping's leaf and update the books.
-     * @return the costs incurred, or nullopt when the page-in is
-     *         impossible (budget unreachable, swap device full) — the
-     *         frame is left exactly as it was.
+     * Commit one page-in of @p frame: restore its bytes (store read or
+     * zero fill), evict until it fits under the resident budget,
+     * promote every mapping's leaf and update the books.
+     * @return the costs incurred, or nullopt when the swap device has
+     *         too few slots for the victims — nothing is changed.
      */
-    std::optional<ServiceResult> bringIn(Hpa hpa, SimNs delay);
+    std::optional<ServiceResult> bringIn(Frame &frame, SimNs delay);
 
     /**
      * Consult the fault plan's PageIn hook for a fault of @p vcpu's
@@ -294,15 +312,14 @@ class Pager
 
     Hypervisor &hv;
     mem::BackingStore backing;
-    /** A swapped-in page on its way from the store to its frame. */
-    std::array<std::uint8_t, pageSize> swapInBuf;
     std::uint64_t residentLimitFrames;
     std::uint64_t residentCount = 0;
     std::uint64_t swappedCount = 0;
 
-    std::map<Hpa, Frame> framesByHpa;
-    /** eptp -> managed ranges of that context, keyed by base GPA. */
-    std::map<std::uint64_t, std::map<Gpa, Range>> rangesByEptp;
+    /** Every managed frame, in HPA order. */
+    std::vector<Frame> frames;
+    /** Every managed range, in (eptp, gpa) order. */
+    std::vector<Range> ranges;
     /** Next HPA the clock hand considers. */
     Hpa clockHand = 0;
 

@@ -1,6 +1,8 @@
 #include "mem/backing_store.hh"
 
+#include "base/bitops.hh"
 #include "base/logging.hh"
+#include "mem/bitmap.hh"
 
 namespace elisa::mem
 {
@@ -18,7 +20,7 @@ deviceBytes(std::uint64_t slot_count)
 } // anonymous namespace
 
 BackingStore::BackingStore(std::uint64_t slot_count)
-    : totalSlots(slot_count), used(slot_count, false),
+    : totalSlots(slot_count), used(divCeil(slot_count, 64), 0),
       data(deviceBytes(slot_count))
 {
 }
@@ -28,17 +30,15 @@ BackingStore::alloc()
 {
     if (allocatedSlots == totalSlots)
         return std::nullopt;
-    for (std::uint64_t probe = 0; probe < totalSlots; ++probe) {
-        const std::uint64_t slot =
-            (searchHint + probe) % totalSlots;
-        if (used[slot])
-            continue;
-        used[slot] = true;
-        ++allocatedSlots;
-        searchHint = (slot + 1) % totalSlots;
-        return slot;
-    }
-    return std::nullopt;
+    // Rotating first fit: the first free slot at or after the hint,
+    // else the first one below it.
+    std::uint64_t slot = findBit(used, searchHint, totalSlots, false);
+    if (slot == totalSlots)
+        slot = findBit(used, 0, searchHint, false);
+    used[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    ++allocatedSlots;
+    searchHint = slot + 1 == totalSlots ? 0 : slot + 1;
+    return slot;
 }
 
 void
@@ -46,9 +46,9 @@ BackingStore::free(std::uint64_t slot)
 {
     panic_if(slot >= totalSlots, "backing-store slot %llu out of range",
              (unsigned long long)slot);
-    panic_if(!used[slot], "double free of backing-store slot %llu",
+    panic_if(!isAllocated(slot), "double free of backing-store slot %llu",
              (unsigned long long)slot);
-    used[slot] = false;
+    used[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     --allocatedSlots;
     // Scrub so a buggy read of a freed slot cannot leak stale bytes.
     data.zero(slot * pageSize, pageSize);
@@ -57,7 +57,7 @@ BackingStore::free(std::uint64_t slot)
 void
 BackingStore::write(std::uint64_t slot, const std::uint8_t *src)
 {
-    panic_if(slot >= totalSlots || !used[slot],
+    panic_if(!isAllocated(slot),
              "write to unallocated backing-store slot %llu",
              (unsigned long long)slot);
     data.write(slot * pageSize, src, pageSize);
@@ -66,7 +66,7 @@ BackingStore::write(std::uint64_t slot, const std::uint8_t *src)
 void
 BackingStore::read(std::uint64_t slot, std::uint8_t *dst) const
 {
-    panic_if(slot >= totalSlots || !used[slot],
+    panic_if(!isAllocated(slot),
              "read from unallocated backing-store slot %llu",
              (unsigned long long)slot);
     data.read(slot * pageSize, dst, pageSize);
@@ -75,7 +75,7 @@ BackingStore::read(std::uint64_t slot, std::uint8_t *dst) const
 bool
 BackingStore::isAllocated(std::uint64_t slot) const
 {
-    return slot < totalSlots && used[slot];
+    return slot < totalSlots && (used[slot / 64] >> (slot % 64)) & 1;
 }
 
 } // namespace elisa::mem

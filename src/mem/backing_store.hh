@@ -69,8 +69,10 @@ class BackingStore
   private:
     std::uint64_t totalSlots;
     std::uint64_t allocatedSlots = 0;
+    /** Next slot to start searching from (rotating first fit). */
     std::uint64_t searchHint = 0;
-    std::vector<bool> used;
+    /** One bit per slot: allocated. */
+    std::vector<std::uint64_t> used;
     /** Slot bytes; slots never written stay unbacked on the host. */
     HostMemory data;
 };

@@ -118,7 +118,11 @@ class FrameAllocator
     /** Set the balloon target of @p owner (0 = unconstrained). */
     void setBalloonTarget(std::uint32_t owner, std::uint64_t frames);
 
-    /** Occupancy of @p owner, or nullptr when unknown. */
+    /**
+     * Occupancy of @p owner, or nullptr when unknown. The entry keeps
+     * its address until dropOwner(@p owner), so a caller may hold the
+     * pointer for the owner's life.
+     */
     const OwnerUsage *ownerUsage(std::uint32_t owner) const;
 
     /**

@@ -1,5 +1,7 @@
 #include "net/paths.hh"
 
+#include <algorithm>
+
 #include "base/bitops.hh"
 #include "base/logging.hh"
 
@@ -37,19 +39,25 @@ serveTx(cpu::Vcpu &vcpu, RegionIo &tx, std::uint32_t seq,
     return DescRing::pushPattern(tx, seq, len) ? 1 : 0;
 }
 
+/** What serveRx returns for an empty ring: no packet packs to it. */
+constexpr std::uint64_t rxRingEmpty = ~std::uint64_t{0};
+
 /** Consume one packet from @p rx for the guest, like serveTx; the
- *  payload is read and dropped.
- *  @return the packed (seq, len), or ~0 when the ring is empty. */
+ *  payload is read and dropped. A len above bufBytes, which only a
+ *  forged descriptor carries, is reported as bufBytes + 1, so the
+ *  packet counts as corrupt and cannot pack to rxRingEmpty.
+ *  @return the packed (seq, len), or rxRingEmpty. */
 std::uint64_t
 serveRx(cpu::Vcpu &vcpu, RegionIo &rx)
 {
     std::uint8_t payload[DescRing::bufBytes];
     const auto seq_len = DescRing::pop(rx, payload);
     if (!seq_len)
-        return ~std::uint64_t{0};
-    vcpu.clock().advance(
-        NetPath::perPacketNs(vcpu.costModel(), seq_len->second, true));
-    return packSeqLen(seq_len->first, seq_len->second);
+        return rxRingEmpty;
+    const std::uint32_t len =
+        std::min(seq_len->second, DescRing::bufBytes + 1);
+    vcpu.clock().advance(NetPath::perPacketNs(vcpu.costModel(), len, true));
+    return packSeqLen(seq_len->first, len);
 }
 
 /** Allocate a ring pair in @p vm's RAM (VF and virtio rings). */
@@ -145,7 +153,7 @@ RingPath::servedTx(std::uint64_t ok, std::uint32_t seq, std::uint32_t len)
 std::pair<std::uint32_t, std::uint32_t>
 RingPath::servedRx(std::uint64_t packed)
 {
-    panic_if(packed == ~std::uint64_t{0},
+    panic_if(packed == rxRingEmpty,
              "%s RX ring empty (workload pacing bug)", name());
     const auto seq_len = unpackSeqLen(packed);
     count(false, seq_len.first, seq_len.second);

@@ -616,6 +616,99 @@ TEST(BackingStore, FreeScrubsTheSlot)
     EXPECT_EQ(back, std::vector<std::uint8_t>(pageSize, 0));
 }
 
+/**
+ * The slot search BackingStore::alloc made before it searched a word at
+ * a time: rotating first fit, one slot per probe.
+ */
+struct ProbingSlots
+{
+    explicit ProbingSlots(std::uint64_t slots) : used(slots, false) {}
+
+    std::optional<std::uint64_t>
+    alloc()
+    {
+        if (allocated == used.size())
+            return std::nullopt;
+        for (std::uint64_t probe = 0; probe < used.size(); ++probe) {
+            const std::uint64_t slot = (hint + probe) % used.size();
+            if (used[slot])
+                continue;
+            used[slot] = true;
+            ++allocated;
+            hint = (slot + 1) % used.size();
+            return slot;
+        }
+        return std::nullopt;
+    }
+
+    void
+    free(std::uint64_t slot)
+    {
+        used[slot] = false;
+        --allocated;
+    }
+
+    std::vector<bool> used;
+    std::uint64_t allocated = 0;
+    std::uint64_t hint = 0;
+};
+
+/**
+ * Differential: seeded alloc/free sequences on devices of 1 to 201
+ * slots (sizes around and off multiples of 64) that fill up and wrap
+ * often hand out the slot ids the one-slot probe did and agree on
+ * every slot's state after every operation.
+ */
+class BackingStoreDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(BackingStoreDifferential, SlotsMatchOneSlotProbe)
+{
+    for (const std::uint64_t slots : {1u, 63u, 64u, 65u, 130u, 201u}) {
+        sim::Rng rng(GetParam() * 1000 + slots);
+        BackingStore store(slots);
+        ProbingSlots ref(slots);
+        std::vector<std::uint64_t> live;
+        std::uint64_t full = 0;
+        std::uint64_t wraps = 0;
+        std::uint64_t last = 0;
+        for (int step = 0; step < 20000; ++step) {
+            if (live.empty() || rng.below(100) < 55) {
+                const auto got = store.alloc();
+                const auto want = ref.alloc();
+                ASSERT_EQ(got, want) << slots << " slots, step " << step;
+                if (got) {
+                    wraps += *got < last;
+                    last = *got;
+                    live.push_back(*got);
+                } else {
+                    ++full;
+                }
+            } else {
+                const std::size_t pick = rng.below(live.size());
+                store.free(live[pick]);
+                ref.free(live[pick]);
+                live[pick] = live.back();
+                live.pop_back();
+            }
+            ASSERT_EQ(store.usedSlots(), ref.allocated)
+                << slots << " slots, step " << step;
+            for (std::uint64_t slot = 0; slot < slots; ++slot)
+                ASSERT_EQ(store.isAllocated(slot), ref.used[slot])
+                    << slots << " slots, step " << step;
+        }
+        // The sequences did run the device out and wrap, often.
+        EXPECT_GT(full, 100u) << slots << " slots";
+        if (slots > 1) {
+            EXPECT_GT(wraps, 100u) << slots << " slots";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BackingStoreDifferential,
+                         ::testing::Values(1u, 2u));
+
 // ---------------------------------------------------------------------
 // Per-owner occupancy book and its metrics gauges.
 // ---------------------------------------------------------------------

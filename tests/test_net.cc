@@ -486,6 +486,49 @@ TEST_F(PathTest, ForgedLengthCountsAsCorrupt)
     EXPECT_EQ(runVm2Vm(forging, rx, nic, false, 256, 10).corrupt, 1u);
 }
 
+/**
+ * A served path (ELISA or VMCALL) whose peer rewrites the first RX
+ * descriptor's seq and len to 0xffffffff once the host has posted it.
+ */
+template <class Path>
+class ForgedRxDescriptor : public Path
+{
+  public:
+    using Path::Path;
+
+    SimNs
+    hostDeliverRx(std::uint32_t seq, std::uint32_t len,
+                  SimNs wire_done) override
+    {
+        const SimNs ready = Path::hostDeliverRx(seq, len, wire_done);
+        if (seq == 0) {
+            RegionIo &ring = *this->hostRxIo;
+            const std::uint32_t prod = ring.read32(0);
+            const std::uint64_t desc =
+                DescRing::descOff +
+                16ull * ((prod - 1) % DescRing::ringEntries);
+            ring.write32(desc + 8, 0xffffffff);  // len
+            ring.write32(desc + 12, 0xffffffff); // seq
+        }
+        return ready;
+    }
+};
+
+// The sub context and the VMCALL host return a popped packet's seq and
+// len packed in one register. All ones in both must count as one
+// corrupt packet, not as the empty-ring answer.
+TEST_F(PathTest, ForgedRxDescriptorIsCorruptOnElisa)
+{
+    ForgedRxDescriptor<ElisaPath> elisa(hv, manager, guest, "nic-forged");
+    EXPECT_EQ(runRx(elisa, nic, 256, 10).corrupt, 1u);
+}
+
+TEST_F(PathTest, ForgedRxDescriptorIsCorruptOnVmcall)
+{
+    ForgedRxDescriptor<VmcallPath> vmcall(hv, guestVm);
+    EXPECT_EQ(runRx(vmcall, nic, 256, 10).corrupt, 1u);
+}
+
 TEST_F(PathTest, Vm2VmElisaBeatsVmcall)
 {
     core::ElisaGuest peer2(peerVm, svc);

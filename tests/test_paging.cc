@@ -19,6 +19,7 @@
 #include "elisa/manager.hh"
 #include "frame_checks.hh"
 #include "hv/hypervisor.hh"
+#include "hv/ivshmem.hh"
 #include "hv/paging.hh"
 #include "sim/exit_ledger.hh"
 #include "sim/fault.hh"
@@ -303,6 +304,102 @@ TEST_F(PagingTest, HostTouchPagesInWithoutAnExit)
                              pageCode(sim::PageCost::ZeroFill));
     ASSERT_NE(zf, nullptr);
     EXPECT_EQ(zf->events, 3u);
+}
+
+TEST_F(PagingTest, PageInThatCannotMakeRoomChangesNothing)
+{
+    // Three pages resident, one swapped out into the only swap slot.
+    // Under a budget of one frame its page-in needs three victims but
+    // frees only its own slot: it must fail before touching anything.
+    hv::Pager &pager = hv.enablePaging({3, 1});
+    hv::Vm &vm = hv.createVm("g", 2 * MiB);
+    pager.manageVmRam(vm, true);
+    cpu::GuestView view(vm.vcpu(0));
+    for (unsigned i = 0; i < 4; ++i)
+        view.write<std::uint64_t>(i * pageSize, 0x1000 + i);
+    ASSERT_EQ(pager.residentFrames(), 3u);
+    ASSERT_EQ(pager.swappedFrames(), 1u);
+    ASSERT_EQ(pager.store().usedSlots(), 1u);
+    Gpa swapped = 0;
+    while (pager.frameState(vm.ramGpaToHpa(swapped)) !=
+           hv::Pager::FrameState::Swapped)
+        swapped += pageSize;
+
+    auto state = [&] {
+        std::vector<std::uint64_t> s;
+        for (unsigned i = 0; i < 4; ++i) {
+            s.push_back(static_cast<std::uint64_t>(
+                *pager.frameState(vm.ramGpaToHpa(i * pageSize))));
+            s.push_back(vm.defaultEpt().leafEntry(i * pageSize)->raw());
+        }
+        s.push_back(pager.residentFrames());
+        s.push_back(pager.swappedFrames());
+        s.push_back(pager.store().usedSlots());
+        for (const char *stat : {"pager_pages_swapped_in",
+                                 "pager_pages_swapped_out",
+                                 "pager_zero_fills"})
+            s.push_back(hv.stats().get(stat));
+        return s;
+    };
+    const auto before = state();
+    pager.setResidentLimit(1);
+
+    // A guest fault surfaces the EPT-violation exit...
+    auto r = vm.run(0, [&] { view.read<std::uint64_t>(swapped); });
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.exit.reason, cpu::ExitReason::EptViolation);
+    EXPECT_EQ(state(), before);
+    // ...and a host touch reports failure.
+    EXPECT_FALSE(pager.hostTouch(vm.vcpu(0), vm.ramGpaToHpa(swapped), 8));
+    EXPECT_EQ(state(), before);
+
+    // With room, every page comes back intact.
+    pager.setResidentLimit(4);
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(view.read<std::uint64_t>(i * pageSize), 0x1000 + i);
+    EXPECT_EQ(pager.residentFrames(), 4u);
+    EXPECT_EQ(pager.store().usedSlots(), 0u);
+}
+
+TEST_F(PagingTest, IvshmemMirrorReattachedAtTheSameGpaStillPages)
+{
+    // An ivshmem region managed through its first attachment; the
+    // second attachment is detached and re-attached at the same GPA,
+    // and its leaves must still follow every eviction and page-in.
+    hv::Pager &pager = hv.enablePaging({2, 64});
+    hv::Vm &a = hv.createVm("a", 2 * MiB);
+    hv::Vm &b = hv.createVm("b", 2 * MiB);
+    hv::IvshmemRegion region(hv, "shm", 4 * pageSize);
+    constexpr Gpa gpa = 1 * GiB;
+    ASSERT_TRUE(region.attach(a, gpa));
+    pager.manageRange(a.id(), a.defaultEpt(), gpa, region.base(),
+                      region.size(), true);
+    ASSERT_TRUE(region.attach(b, gpa));
+    region.detach(b, gpa);
+    ASSERT_TRUE(region.attach(b, gpa));
+
+    cpu::GuestView va(a.vcpu(0));
+    cpu::GuestView vb(b.vcpu(0));
+    for (unsigned i = 0; i < 4; ++i)
+        va.write<std::uint64_t>(gpa + i * pageSize, 0x300 + i);
+    const std::uint64_t outs = hv.stats().get("pager_pages_swapped_out");
+    const std::uint64_t ins = hv.stats().get("pager_pages_swapped_in");
+    for (unsigned round = 0; round < 2; ++round) {
+        for (unsigned i = 0; i < 4; ++i) {
+            EXPECT_EQ(vb.read<std::uint64_t>(gpa + i * pageSize), 0x300 + i);
+            for (unsigned j = 0; j < 4; ++j) {
+                const Gpa page = gpa + j * pageSize;
+                EXPECT_EQ(b.defaultEpt().entryState(page),
+                          a.defaultEpt().entryState(page))
+                    << "page " << j;
+            }
+        }
+    }
+    EXPECT_GT(hv.stats().get("pager_pages_swapped_out"), outs);
+    EXPECT_GT(hv.stats().get("pager_pages_swapped_in"), ins);
+    EXPECT_EQ(pager.residentFrames(), 2u);
+    region.detach(b, gpa);
+    region.detach(a, gpa);
 }
 
 TEST_F(PagingTest, PageInErrorSurfacesExitAndRetryRecovers)
