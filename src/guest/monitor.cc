@@ -204,8 +204,6 @@ MonitorGuest::consume(const std::vector<std::uint8_t> &bytes)
         if (csvDoc.empty())
             csvDoc = snap.csvHeader();
         csvDoc += snap.csvRow();
-        if (dog)
-            dog->evaluate(snap);
     }
     return true;
 }

@@ -16,8 +16,8 @@
  * Whatever the scheme, the scraped bytes parse into a
  * sim::SnapshotView whose prometheus()/csvRow() renderers are the very
  * functions the host-side Metrics exporters use — so the monitor's
- * re-export equals the host's export byte-for-byte, which the CI
- * scrape-diff job asserts.
+ * re-export equals the host's export byte-for-byte, which
+ * `elisa_report --scrape` checks.
  */
 
 #ifndef ELISA_GUEST_MONITOR_HH
@@ -31,7 +31,6 @@
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "hv/telemetry_publisher.hh"
-#include "sim/slo.hh"
 #include "sim/telemetry.hh"
 
 namespace elisa::guest
@@ -132,20 +131,13 @@ class MonitorGuest
      */
     const std::string &csvDocument() const { return csvDoc; }
 
-    /**
-     * Evaluate @p watchdog against every *fresh* snapshot as it is
-     * scraped (non-owning; nullptr detaches).
-     */
-    void setWatchdog(sim::SloWatchdog *watchdog) { dog = watchdog; }
-
   private:
-    /** Parse @p bytes; on success fold into snapshot/CSV/watchdog. */
+    /** Parse @p bytes; on success fold into snapshot/CSV. */
     bool consume(const std::vector<std::uint8_t> &bytes);
 
     core::ElisaGuest client;
     core::Gate gate;
     sim::SnapshotView snap;
-    sim::SloWatchdog *dog = nullptr;
     std::uint64_t lastSeq = 0;
     std::uint64_t scrapeCount = 0;
     std::uint64_t freshCount = 0;

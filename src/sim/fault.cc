@@ -25,8 +25,6 @@ faultActionToString(FaultAction action)
         return "gate_stale";
       case FaultAction::ShmExhaust:
         return "shm_exhaust";
-      case FaultAction::ShmCorrupt:
-        return "shm_corrupt";
       case FaultAction::GrantExhaust:
         return "grant_exhaust";
     }
@@ -44,8 +42,6 @@ siteToString(FaultSite site)
         return "hc";
       case FaultSite::Gate:
         return "gate";
-      case FaultSite::ShmAlloc:
-        return "shm_alloc";
       case FaultSite::AttachBuild:
         return "attach_build";
       case FaultSite::Capability:
@@ -75,10 +71,7 @@ siteAccepts(FaultSite site, FaultAction action)
       case FaultAction::GateStale:
         return site == FaultSite::Gate;
       case FaultAction::ShmExhaust:
-        return site == FaultSite::ShmAlloc ||
-               site == FaultSite::AttachBuild;
-      case FaultAction::ShmCorrupt:
-        return site == FaultSite::ShmAlloc;
+        return site == FaultSite::AttachBuild;
       case FaultAction::GrantExhaust:
         return site == FaultSite::Capability;
       case FaultAction::None:
@@ -107,16 +100,6 @@ FaultPlan::killVmAt(std::uint64_t hc_nr, std::uint64_t victim,
     rule.occurrence = occurrence;
     rule.action = FaultAction::KillVm;
     rule.param = victim;
-    addRule(rule);
-}
-
-void
-FaultPlan::failCapabilityAt(std::uint64_t vm, std::uint64_t occurrence)
-{
-    FaultRule rule;
-    rule.vm = vm;
-    rule.occurrence = occurrence;
-    rule.action = FaultAction::GrantExhaust;
     addRule(rule);
 }
 
@@ -208,13 +191,6 @@ FaultPlan::onGateCall(std::uint64_t vm)
     // Gate calls are the exit-less data path: only scripted faults
     // (GateStale) apply; the hypercall chaos knobs do not.
     return decide(FaultSite::Gate, vm, faultAny, /*allow_chance=*/false);
-}
-
-FaultDecision
-FaultPlan::onShmAlloc(std::uint64_t bytes)
-{
-    return decide(FaultSite::ShmAlloc, faultAny, bytes,
-                  /*allow_chance=*/false);
 }
 
 FaultDecision

@@ -5,8 +5,9 @@
  * A FaultPlan is a scripted + seeded description of everything that is
  * allowed to go wrong in one run: hypercalls can be dropped, delayed,
  * duplicated, or failed; a VM (guest or manager) can be killed at any
- * protocol step; gate calls can hit a stale EPTP-list entry; shared-
- * memory allocations can be exhausted or corrupted.
+ * protocol step; gate calls can hit a stale EPTP-list entry;
+ * attachment builds, capability registrations and swap-device page-ins
+ * can fail.
  *
  * Two sources of decisions, both bit-reproducible:
  *
@@ -56,10 +57,8 @@ enum class FaultAction : std::uint8_t
     KillVm,
     /** A gate call finds its EPTP-list entry cleared (revoked). */
     GateStale,
-    /** A shared-memory allocation finds no free block. */
+    /** An attachment build runs out of frames or EPT tables. */
     ShmExhaust,
-    /** The shared region's header is corrupted before the operation. */
-    ShmCorrupt,
     /** A capability registration finds the grant table exhausted. */
     GrantExhaust,
 };
@@ -70,14 +69,13 @@ const char *faultActionToString(FaultAction action);
 /**
  * Hook sites that consult the plan. A rule only fires at sites where
  * its action is meaningful (a GateStale rule never matches a hypercall
- * dispatch, a Drop rule never matches a shared-memory allocation), so
+ * dispatch, a Drop rule never matches an attachment build), so
  * wildcard rules cannot be consumed by the wrong subsystem.
  */
 enum class FaultSite : std::uint8_t
 {
     Hypercall,
     Gate,
-    ShmAlloc,
     AttachBuild,
     /** Grant-table registration inside a Delegate/Redeem step. */
     Capability,
@@ -128,8 +126,8 @@ struct FaultDecision
 };
 
 /**
- * The per-run fault schedule. Install on a Hypervisor (hypercall and
- * gate hooks) and/or a ShmAllocator; ownership stays with the caller.
+ * The per-run fault schedule. Install on a Hypervisor (hypercall, gate,
+ * negotiation and pager hooks); ownership stays with the caller.
  */
 class FaultPlan
 {
@@ -143,14 +141,6 @@ class FaultPlan
     /** Convenience: kill @p victim on the Nth call of @p hc_nr. */
     void killVmAt(std::uint64_t hc_nr, std::uint64_t victim,
                   std::uint64_t occurrence = 1);
-
-    /**
-     * Convenience: fail the Nth capability registration attempted by
-     * @p vm (grant-table exhaustion at a Delegate/Redeem step; the
-     * caller observes an error return, never a partial grant).
-     */
-    void failCapabilityAt(std::uint64_t vm,
-                          std::uint64_t occurrence = 1);
 
     /**
      * Convenience: the Nth page-in for @p vm fails with a swap-device
@@ -196,9 +186,6 @@ class FaultPlan
 
     /** A vCPU of VM @p vm is entering the exit-less gate path. */
     FaultDecision onGateCall(std::uint64_t vm);
-
-    /** An allocation of @p bytes from a shared region. */
-    FaultDecision onShmAlloc(std::uint64_t bytes);
 
     /** The negotiation is about to build an attachment for @p vm. */
     FaultDecision onAttachBuild(std::uint64_t vm);

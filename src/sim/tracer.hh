@@ -57,7 +57,7 @@ enum class SpanCat : std::uint8_t
     Fault,       ///< injected-fault annotations
     Cpu,         ///< raw instruction events (vmfunc, vmcall framing)
     Page,        ///< demand-paging events (page-in/out, reclaim)
-    Telemetry,   ///< telemetry plane (publish, scrape, SLO alerts)
+    Telemetry,   ///< telemetry-plane events
 };
 
 /** Number of categories (array sizing). */
@@ -103,8 +103,7 @@ const char *spanCatToString(SpanCat cat);
     X(PageIn, "page_in")                                               \
     X(ZeroFill, "zero_fill")                                           \
     X(FaultPageInError, "fault_page_in_error")                         \
-    X(FaultPageInDelay, "fault_page_in_delay")                         \
-    X(SloAlert, "slo_alert")
+    X(FaultPageInDelay, "fault_page_in_delay")
 
 /**
  * Dense handle of an event name. The enumerators are the constant

@@ -40,7 +40,6 @@
 #include "sim/exit_ledger.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/metrics.hh"
-#include "sim/slo.hh"
 #include "sim/telemetry.hh"
 #include "sim/tracer.hh"
 
@@ -700,9 +699,9 @@ TEST(Determinism, PagedMachinesFingerprintIsBitIdenticalAcrossRuns)
 
 // ---------------------------------------------------------------------
 // The telemetry plane on one engine: publisher snapshot bytes, the
-// monitor's scrape stream (Prometheus + CSV re-exports), watchdog
-// alert instants and the flight-recorder post-mortem of a fault-killed
-// VM must all replay byte-identically.
+// monitor's scrape stream (Prometheus + CSV re-exports) and the
+// flight-recorder post-mortem of a fault-killed VM must all replay
+// byte-identically.
 // ---------------------------------------------------------------------
 
 /** One machine with a worked guest, a doomed guest and a monitor. */
@@ -726,7 +725,6 @@ struct TelemetryMachine
     elisa::guest::MonitorGuest monitor;
     sim::Metrics metrics;
     hv::TelemetryPublisher publisher{hv, metrics};
-    sim::SloWatchdog dog;
     std::optional<core::Gate> vgate;
     std::optional<core::Gate> wgate;
     sim::MetricId depth = 0;
@@ -738,8 +736,7 @@ struct TelemetryMachine
           worker_vm(hv.createVm("worker", 16 * MiB)),
           monitor_vm(hv.createVm("monitor", 16 * MiB)),
           manager(manager_vm, svc), victim(victim_vm, svc),
-          worker(worker_vm, svc), monitor(monitor_vm, svc),
-          dog(&tracer, /*track=*/99)
+          worker(worker_vm, svc), monitor(monitor_vm, svc)
     {
         hv.setTracer(&tracer);
         hv.setLedger(&ledger);
@@ -766,13 +763,6 @@ struct TelemetryMachine
                  "monitor attach failed");
 
         depth = metrics.gauge("backlog_depth");
-        dog.addRule({.name = "backlog",
-                     .kind = sim::SloKind::GaugeAbove,
-                     .family = "backlog_depth",
-                     .labelStr = "",
-                     .threshold = 600.0,
-                     .burnWindow = 2});
-        monitor.setWatchdog(&dog);
         hv.attachMetrics(metrics);
 
         // The worker's 40th Nop takes the victim down (third-party
@@ -804,8 +794,7 @@ struct TelemetryMachine
             << monitor.retries() << '\n'
             << "prometheus:\n"
             << monitor.prometheus() << "csv:\n"
-            << monitor.csvDocument() << "alerts:\n"
-            << dog.report() << "postmortem:\n"
+            << monitor.csvDocument() << "postmortem:\n"
             << (recorder.hasPostMortem(victimId)
                     ? recorder.postMortem(victimId)
                     : std::string("none"))
@@ -838,8 +827,7 @@ struct TelemetryActor : sim::Actor
         }
         m.wgate->call(0);
         m.worker_vm.vcpu(0).vmcall(hv::hcArgs(hv::Hc::Nop));
-        // A sawtooth gauge so the watchdog's burn window fills and
-        // re-arms at deterministic publications.
+        // A sawtooth gauge, so each publication carries a new value.
         m.metrics.set(m.depth,
                       static_cast<double>(ops * 7 % 1000));
         if (ops % 16 == 15) {
@@ -883,9 +871,9 @@ TEST(Determinism, TelemetryPlaneIsBitIdenticalAcrossRuns)
     EXPECT_EQ(first, runTelemetryScenario());
 
     // Sanity: the scenario exercised the whole plane — publications
-    // were scraped, the watchdog fired, and the killed VM left a
-    // post-mortem.
-    EXPECT_NE(first.find("backlog"), std::string::npos);
+    // carrying the backlog gauge were scraped, and the killed VM left
+    // a post-mortem.
+    EXPECT_NE(first.find("backlog_depth"), std::string::npos);
     EXPECT_NE(first.find("fault_kill@hypercall"), std::string::npos);
     EXPECT_EQ(first.find("postmortem:\nnone"), std::string::npos);
     EXPECT_NE(first.find("telemetry_published"), std::string::npos);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the ELISA core: export/attach negotiation, the exit-less
- * gate call, exchange buffers, the shared-memory allocator, timing.
+ * gate call, exchange buffers, timing.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,7 @@
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
-#include "elisa/shm_allocator.hh"
 #include "hv/hypervisor.hh"
-#include "sim/rng.hh"
 
 namespace
 {
@@ -669,94 +667,6 @@ TEST_F(ElisaTest, DelegatedGateCostsExactlyWhatADirectGateCosts)
     EXPECT_EQ(direct_ns, hv.cost().elisaRttNs());
     EXPECT_EQ(delegated_ns, direct_ns);
     EXPECT_EQ(peer_vm.vcpu(0).stats().get("vmcall"), vmcalls0);
-}
-
-// ---- ShmAllocator -----------------------------------------------------
-
-class ShmAllocTest : public ElisaTest
-{
-  protected:
-    void
-    SetUp() override
-    {
-        exp = manager.exportObject(ExportKey("heap"), 256 * KiB, basicFns());
-        ASSERT_TRUE(exp);
-        mview = std::make_unique<cpu::GuestView>(manager.vcpu());
-        heap = std::make_unique<ShmAllocator>(*mview,
-                                              exp->objectGpa);
-        heap->format(exp->bytes);
-    }
-
-    std::optional<ElisaManager::Exported> exp;
-    std::unique_ptr<cpu::GuestView> mview;
-    std::unique_ptr<ShmAllocator> heap;
-};
-
-TEST_F(ShmAllocTest, FormatAndCapacity)
-{
-    EXPECT_TRUE(heap->formatted());
-    EXPECT_GT(heap->capacity(), 250 * KiB);
-    EXPECT_EQ(heap->freeBytes(), heap->capacity());
-}
-
-TEST_F(ShmAllocTest, AllocFreeCoalesce)
-{
-    auto a = heap->alloc(100);
-    auto b = heap->alloc(200);
-    auto c = heap->alloc(300);
-    ASSERT_TRUE(a && b && c);
-    EXPECT_NE(*a, *b);
-    EXPECT_NE(*b, *c);
-
-    const std::uint64_t free_mid = heap->freeBytes();
-    heap->free(*b);
-    heap->free(*a);
-    heap->free(*c);
-    // Full coalescing back to one block.
-    EXPECT_EQ(heap->freeBytes(), heap->capacity());
-    EXPECT_GT(heap->freeBytes(), free_mid);
-
-    // Re-allocate something bigger than any single fragment would be.
-    EXPECT_TRUE(heap->alloc(200 * KiB));
-}
-
-TEST_F(ShmAllocTest, ExhaustionReturnsNullopt)
-{
-    auto big = heap->alloc(200 * KiB);
-    ASSERT_TRUE(big);
-    EXPECT_FALSE(heap->alloc(200 * KiB));
-}
-
-TEST_F(ShmAllocTest, AllocationsVisibleThroughGate)
-{
-    auto off = heap->alloc(64);
-    ASSERT_TRUE(off);
-    mview->write<std::uint64_t>(exp->objectGpa + *off, 0xfeed);
-
-    auto gate = guest.tryAttach(ExportKey("heap"), manager).intoOptional();
-    ASSERT_TRUE(gate);
-    EXPECT_EQ(gate->call(0, *off), 0xfeedu);
-}
-
-TEST_F(ShmAllocTest, RandomAllocFreeKeepsAccounting)
-{
-    sim::Rng rng(3);
-    std::vector<std::uint64_t> live;
-    for (int i = 0; i < 300; ++i) {
-        if (live.empty() || rng.chance(0.6)) {
-            auto off = heap->alloc(16 + rng.below(600));
-            if (off)
-                live.push_back(*off);
-        } else {
-            const std::size_t pick = rng.below(live.size());
-            heap->free(live[pick]);
-            live[pick] = live.back();
-            live.pop_back();
-        }
-    }
-    for (auto off : live)
-        heap->free(off);
-    EXPECT_EQ(heap->freeBytes(), heap->capacity());
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * fault actions (drop / delay / duplicate / error / kill), the
  * protocol-step kill matrix (either party dies at every negotiation
  * step and the machine converges to a clean state), gate staleness,
- * shared-memory allocation faults, and the recovery machinery
- * (timeouts, retry/backoff, manager-death auto-revocation).
+ * and the recovery machinery (timeouts, retry/backoff, manager-death
+ * auto-revocation).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
-#include "elisa/shm_allocator.hh"
 #include "cpu/guest_view.hh"
 #include "hv/hypervisor.hh"
 #include "hv/paging.hh"
@@ -838,37 +837,6 @@ TEST_F(FaultTest, ThirdPartyKillDuringPageInStillResolvesTheFault)
     EXPECT_NE(recorder.postMortem(managerId).find(
                   "fault_kill@page_in"),
               std::string::npos);
-}
-
-TEST_F(FaultTest, ShmExhaustAndCorrupt)
-{
-    ASSERT_TRUE(manager.exportObject(ExportKey("kv"), 16 * KiB, constFns()));
-    auto obj = manager.exportObject(ExportKey("region"), 16 * KiB, constFns());
-    ASSERT_TRUE(obj);
-
-    cpu::GuestView view = manager.view();
-    ShmAllocator shm(view, obj->objectGpa);
-    shm.format(16 * KiB);
-    shm.setFaultPlan(&plan);
-
-    sim::FaultRule rule;
-    rule.action = sim::FaultAction::ShmExhaust;
-    plan.addRule(rule);
-
-    // Injected exhaustion: the allocation fails, the region survives.
-    EXPECT_FALSE(shm.alloc(64));
-    EXPECT_TRUE(shm.formatted());
-    // Rule spent: allocation works again.
-    EXPECT_TRUE(shm.alloc(64));
-
-    sim::FaultRule corrupt;
-    corrupt.action = sim::FaultAction::ShmCorrupt;
-    plan.addRule(corrupt);
-
-    // Injected corruption: the magic check turns false, so users see
-    // "unformatted" instead of walking a poisoned free list.
-    EXPECT_FALSE(shm.alloc(64));
-    EXPECT_FALSE(shm.formatted());
 }
 
 TEST_F(FaultTest, EventLogRecordsEveryInjection)

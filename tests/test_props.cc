@@ -8,7 +8,6 @@
  */
 
 #include <deque>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
 #include "elisa/negotiation.hh"
-#include "elisa/shm_allocator.hh"
 #include "hv/hypervisor.hh"
 #include "kvs/shm_kvs.hh"
 #include "net/desc_ring.hh"
@@ -126,59 +124,6 @@ TEST_P(RingModelProperty, MatchesReferenceQueue)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RingModelProperty,
                          ::testing::Values(5u, 6u, 7u));
-
-// ---- ShmAllocator vs reference interval accounting -----------------
-
-class ShmAllocProperty : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(ShmAllocProperty, NoOverlapNoLeak)
-{
-    hv::Hypervisor hv(64 * MiB);
-    hv::Vm &vm = hv.createVm("guest", 16 * MiB);
-    cpu::GuestView view(vm.vcpu(0));
-    const Gpa base = 0x100000;
-    core::ShmAllocator heap(view, base);
-    heap.format(512 * KiB);
-    const std::uint64_t cap = heap.capacity();
-
-    // offset -> size of live allocations.
-    std::map<std::uint64_t, std::uint64_t> live;
-    sim::Rng rng(GetParam());
-
-    for (int iter = 0; iter < 4000; ++iter) {
-        if (live.empty() || rng.chance(0.55)) {
-            const std::uint64_t want = 16 + rng.below(3000);
-            auto off = heap.alloc(want);
-            if (!off)
-                continue;
-            // Overlap check against every live block.
-            auto next = live.lower_bound(*off);
-            if (next != live.end()) {
-                ASSERT_LE(*off + want, next->first);
-            }
-            if (next != live.begin()) {
-                auto prev = std::prev(next);
-                ASSERT_LE(prev->first + prev->second, *off);
-            }
-            live[*off] = want;
-        } else {
-            auto pick = live.begin();
-            std::advance(pick,
-                         (long)rng.below(live.size()));
-            heap.free(pick->first);
-            live.erase(pick);
-        }
-    }
-    for (auto &[off, size] : live)
-        heap.free(off);
-    // Everything freed coalesces back to full capacity: no leaks.
-    ASSERT_EQ(heap.freeBytes(), cap);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShmAllocProperty,
-                         ::testing::Values(101u, 202u, 303u));
 
 // ---- GuestView vs direct host access --------------------------------
 

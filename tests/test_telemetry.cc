@@ -4,9 +4,8 @@
  * fidelity, byte-determinism, corruption rejection, forward-compatible
  * section skipping), the publisher's seqlock region protocol and
  * overflow policy, the monitor guest's three scrape schemes and their
- * byte-identity with the host-side export, the per-VM flight
- * recorder's ring/dump mechanics and the SLO watchdog's burn-rate
- * rules.
+ * byte-identity with the host-side export, and the per-VM flight
+ * recorder's ring/dump mechanics.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "sim/exit_ledger.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/metrics.hh"
-#include "sim/slo.hh"
 #include "sim/telemetry.hh"
 #include "sim/tracer.hh"
 
@@ -690,106 +688,6 @@ TEST(FlightRecorder, HypervisorDumpsAPostMortemOnDestroy)
     const std::string &json = rec.postMortem(id);
     EXPECT_NE(json.find("vm_destroy"), std::string::npos);
     EXPECT_NE(json.find("hypercall"), std::string::npos);
-}
-
-// ===================================================================
-// SLO watchdog: burn-rate rules over scraped snapshots.
-// ===================================================================
-
-TEST(SloWatchdog, GaugeRuleBurnsOverConsecutiveSnapshots)
-{
-    Metrics m;
-    const auto g = m.gauge("queue_depth");
-    Tracer tr(64);
-    sim::SloWatchdog dog(&tr, /*track=*/5);
-    const auto idx = dog.addRule({.name = "queue-deep",
-                                  .kind = sim::SloKind::GaugeAbove,
-                                  .family = "queue_depth",
-                                  .labelStr = "",
-                                  .threshold = 10.0,
-                                  .burnWindow = 2});
-
-    std::uint64_t seq = 0;
-    const auto eval = [&](double value, SimNs ns) {
-        m.set(g, value);
-        const auto v = snapOf({&m}, ++seq, ns);
-        return dog.evaluate(v);
-    };
-    EXPECT_EQ(eval(5, 1000), 0u);  // below threshold
-    EXPECT_EQ(eval(11, 2000), 0u); // breach 1 of 2
-    EXPECT_EQ(eval(12, 3000), 1u); // burn window filled: fire
-    EXPECT_EQ(eval(13, 4000), 0u); // still firing, no duplicate alert
-    EXPECT_EQ(eval(3, 5000), 0u);  // re-arm
-    EXPECT_EQ(eval(11, 6000), 0u);
-    EXPECT_EQ(eval(11, 7000), 1u); // fires again after re-arming
-
-    ASSERT_EQ(dog.alerts().size(), 2u);
-    EXPECT_EQ(dog.alerts()[0].rule, "queue-deep");
-    EXPECT_EQ(dog.alerts()[0].ns, 3000u);
-    EXPECT_EQ(dog.alerts()[0].value, 12.0);
-    EXPECT_EQ(dog.alerts()[1].ns, 7000u);
-    EXPECT_EQ(dog.evaluations(), 7u);
-    EXPECT_NE(dog.report().find("queue-deep"), std::string::npos);
-
-    // Each firing emitted a Telemetry instant on the monitor's track.
-    unsigned instants = 0;
-    for (const auto &ev : tr.snapshot()) {
-        if (ev.cat != SpanCat::Telemetry)
-            continue;
-        ++instants;
-        EXPECT_EQ(ev.track, 5u);
-        EXPECT_EQ(ev.arg0, idx);
-    }
-    EXPECT_EQ(instants, 2u);
-}
-
-TEST(SloWatchdog, CounterRateIsPerSimulatedSecond)
-{
-    Metrics m;
-    const auto c = m.counter("page_in");
-    sim::SloWatchdog dog;
-    dog.addRule({.name = "pagein-storm",
-                 .kind = sim::SloKind::CounterRateAbove,
-                 .family = "page_in",
-                 .labelStr = "",
-                 .threshold = 100.0,
-                 .burnWindow = 1});
-
-    constexpr SimNs sec = 1'000'000'000ull;
-    std::uint64_t seq = 0;
-    const auto eval = [&](std::uint64_t delta, SimNs ns) {
-        m.add(c, delta);
-        const auto v = snapOf({&m}, ++seq, ns);
-        return dog.evaluate(v);
-    };
-    EXPECT_EQ(eval(1000, 1 * sec), 0u); // no previous window yet
-    EXPECT_EQ(eval(50, 2 * sec), 0u);   // 50/s
-    EXPECT_EQ(eval(200, 3 * sec), 1u);  // 200/s
-    ASSERT_EQ(dog.alerts().size(), 1u);
-    EXPECT_EQ(dog.alerts()[0].value, 200.0);
-    EXPECT_EQ(dog.alerts()[0].ns, 3 * sec);
-}
-
-TEST(SloWatchdog, HistogramP99Rule)
-{
-    Metrics m;
-    const auto h = m.histogram("gate_ns");
-    sim::SloWatchdog dog;
-    dog.addRule({.name = "gate-slow",
-                 .kind = sim::SloKind::HistP99Above,
-                 .family = "gate_ns",
-                 .labelStr = "",
-                 .threshold = 500.0,
-                 .burnWindow = 1});
-
-    for (int i = 0; i < 100; ++i)
-        m.observe(h, 100);
-    EXPECT_EQ(dog.evaluate(snapOf({&m}, 1, 1000)), 0u);
-
-    for (int i = 0; i < 100; ++i)
-        m.observe(h, 10000);
-    EXPECT_EQ(dog.evaluate(snapOf({&m}, 2, 2000)), 1u);
-    EXPECT_GT(dog.alerts()[0].value, 500.0);
 }
 
 } // anonymous namespace

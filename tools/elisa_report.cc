@@ -26,7 +26,7 @@
  *                 schemes (ELISA gate / VMCALL / ivshmem), and verify
  *                 each guest-side Prometheus re-export is
  *                 byte-identical to the host-side export. Exits
- *                 non-zero on any byte difference (the CI parity job).
+ *                 non-zero on any byte difference.
  *   --postmortem  Kill a VM mid-workload via the fault plan and print
  *                 its flight-recorder post-mortem JSON, verifying the
  *                 ledger-delta conservation verdict.
@@ -407,6 +407,9 @@ scrapeSection()
 bool
 postmortemSection()
 {
+    // Declared first so it outlives the gates, whose destructors still
+    // make (fault-plan-checked) detach hypercalls.
+    sim::FaultPlan plan(7);
     Testbed bed;
     sim::Tracer tracer(8192);
     sim::ExitLedger ledger;
@@ -432,7 +435,6 @@ postmortemSection()
     // The 40th Nop from the worker kills the victim (third-party
     // kill: teardown — and the post-mortem dump — happen right away).
     const VmId id = victimVm.id();
-    sim::FaultPlan plan(7);
     sim::FaultRule rule;
     rule.site = (std::uint64_t)sim::FaultSite::Hypercall;
     rule.hcNr = (std::uint64_t)hv::Hc::Nop;
