@@ -75,8 +75,19 @@ prepopulate(net::RegionIo &host_io, std::uint64_t count)
 
 // ---- the flat tables and their clients ---------------------------------
 
-TableClient::TableClient(StoreClient &&store_client)
-    : client(std::move(store_client)), stats(client.vcpu().stats())
+KvsTable::KvsTable(hv::Hypervisor &hv, Scheme scheme,
+                   const std::string &name, std::uint64_t bucket_count,
+                   core::ElisaManager *manager, Gpa window)
+    : Store(hv, scheme, name, ShmKvs::regionBytesFor(bucket_count),
+            shmKvsOps(), manager, window),
+      bucketCount(bucket_count)
+{
+    ShmKvs::format(hostIo(), bucket_count);
+}
+
+TableClient::TableClient(KvsTable &table, StoreClient &&store_client)
+    : client(std::move(store_client)), host(table.hostIo()),
+      buckets(table.buckets()), stats(client.vcpu().stats())
 {
     static constexpr const char *names[] = {"kvs_gets", "kvs_puts",
                                             "kvs_removes", "kvs_cas"};
@@ -131,18 +142,22 @@ TableClient::cas(const Key &key, const Value &expected,
     return client.cas(key, expected, desired);
 }
 
+void
+TableClient::hostPrefetch(const Key &key)
+{
+    ShmKvs::prefetchBucket(host, buckets, key);
+}
+
 DirectKvsTable::DirectKvsTable(hv::Hypervisor &hv,
                                std::uint64_t bucket_count)
-    : Store(hv, Scheme::Direct, "kvs-table",
-            ShmKvs::regionBytesFor(bucket_count), shmKvsOps(), nullptr,
-            kvsWindowGpa)
+    : KvsTable(hv, Scheme::Direct, "kvs-table", bucket_count, nullptr,
+               kvsWindowGpa)
 {
-    ShmKvs::format(hostIo(), bucket_count);
 }
 
 DirectKvsClient::DirectKvsClient(DirectKvsTable &table, hv::Vm &vm,
                                  unsigned vcpu_index)
-    : TableClient(StoreClient(table, vm, vcpu_index))
+    : TableClient(table, StoreClient(table, vm, vcpu_index))
 {
 }
 
@@ -150,30 +165,27 @@ ElisaKvsTable::ElisaKvsTable(hv::Hypervisor &hv,
                              core::ElisaManager &manager,
                              std::string export_name,
                              std::uint64_t bucket_count)
-    : Store(hv, Scheme::Elisa, export_name,
-            ShmKvs::regionBytesFor(bucket_count), shmKvsOps(), &manager)
+    : KvsTable(hv, Scheme::Elisa, export_name, bucket_count, &manager)
 {
-    ShmKvs::format(hostIo(), bucket_count);
 }
 
 ElisaKvsClient::ElisaKvsClient(ElisaKvsTable &table,
                                core::ElisaManager &manager,
                                core::ElisaGuest &guest)
-    : TableClient(StoreClient(table, manager, guest))
+    : TableClient(table, StoreClient(table, manager, guest))
 {
 }
 
 VmcallKvsTable::VmcallKvsTable(hv::Hypervisor &hv,
                                std::uint64_t bucket_count)
-    : Store(hv, Scheme::Vmcall, "kvs-table",
-            ShmKvs::regionBytesFor(bucket_count), shmKvsOps())
+    : KvsTable(hv, Scheme::Vmcall, "kvs-table", bucket_count)
 {
-    ShmKvs::format(hostIo(), bucket_count);
 }
 
 VmcallKvsClient::VmcallKvsClient(VmcallKvsTable &table, hv::Vm &vm,
                                  unsigned vcpu_index)
-    : TableClient(StoreClient(table, vm, vcpu_index, operandBuffer(vm)))
+    : TableClient(table,
+                  StoreClient(table, vm, vcpu_index, operandBuffer(vm)))
 {
 }
 

@@ -55,6 +55,34 @@ class KvsClient
     /** Compare-and-swap; false when absent or mismatched. */
     virtual bool cas(const Key &key, const Value &expected,
                      const Value &desired) = 0;
+
+    /**
+     * Host-side hint that @p key is the key of this client's next
+     * operation, so the host can start loading what it will read. It
+     * has no simulated effect: no time, counter or trace event. The
+     * default does nothing.
+     */
+    virtual void hostPrefetch(const Key &) {}
+};
+
+/**
+ * A ShmKvs table placed for one scheme. The host keeps the bucket count
+ * it formatted the table with; the region header's copy is bytes that
+ * a direct-mapped peer can rewrite.
+ */
+class KvsTable : public Store
+{
+  public:
+    /** Buckets the table was formatted with. */
+    std::uint64_t buckets() const { return bucketCount; }
+
+  protected:
+    KvsTable(hv::Hypervisor &hv, Scheme scheme, const std::string &name,
+             std::uint64_t bucket_count,
+             core::ElisaManager *manager = nullptr, Gpa window = 0);
+
+  private:
+    std::uint64_t bucketCount;
 };
 
 /** A flat table's client under any scheme. */
@@ -69,8 +97,11 @@ class TableClient : public KvsClient
     bool cas(const Key &key, const Value &expected,
              const Value &desired) override;
 
+    /** Prefetch the first slot of @p key's bucket into the host cache. */
+    void hostPrefetch(const Key &key) override;
+
   protected:
-    explicit TableClient(StoreClient &&store_client);
+    TableClient(KvsTable &table, StoreClient &&store_client);
 
   private:
     /** Count op @p op; a trace instant too when the machine has a
@@ -78,12 +109,14 @@ class TableClient : public KvsClient
     void count(unsigned op);
 
     StoreClient client;
+    const net::HostRegionIo &host;
+    std::uint64_t buckets; ///< the table's, as the host holds it
     sim::StatSet &stats;
     std::array<sim::StatId, 4> opStats; ///< interned once, by StoreOpId
 };
 
 /** One shared table region, ivshmem-mapped into client VMs on demand. */
-class DirectKvsTable : public Store
+class DirectKvsTable : public KvsTable
 {
   public:
     DirectKvsTable(hv::Hypervisor &hv, std::uint64_t bucket_count);
@@ -98,7 +131,7 @@ class DirectKvsClient : public TableClient
 };
 
 /** A table exported by the manager VM; clients attach by name. */
-class ElisaKvsTable : public Store
+class ElisaKvsTable : public KvsTable
 {
   public:
     ElisaKvsTable(hv::Hypervisor &hv, core::ElisaManager &manager,
@@ -114,7 +147,7 @@ class ElisaKvsClient : public TableClient
 };
 
 /** A host-private table; every operation is a hypercall. */
-class VmcallKvsTable : public Store
+class VmcallKvsTable : public KvsTable
 {
   public:
     VmcallKvsTable(hv::Hypervisor &hv, std::uint64_t bucket_count);

@@ -86,15 +86,6 @@ LogKvs::bucketCount(RegionIo &io)
 }
 
 std::uint64_t
-LogKvs::logSlotCount(RegionIo &io)
-{
-    Header h;
-    io.read(0, &h, sizeof(h));
-    panic_if(h.magic != magicValue, "unformatted log-KVS region");
-    return h.logSlots;
-}
-
-std::uint64_t
 LogKvs::bucketOf(RegionIo &io, const Key &key)
 {
     return hashKey(key, bucketCount(io));

@@ -80,9 +80,6 @@ class LogKvs
     /** Bucket count of a formatted store. */
     static std::uint64_t bucketCount(RegionIo &io);
 
-    /** Log slot count of a formatted store. */
-    static std::uint64_t logSlotCount(RegionIo &io);
-
     /**
      * Insert or update: append a Put record (cleaning the log head
      * first when the circle is full), commit the tail, then point the

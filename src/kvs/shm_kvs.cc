@@ -48,14 +48,6 @@ ShmKvs::regionBytesFor(std::uint64_t bucket_count)
            bucket_count * entriesPerBucket * sizeof(Slot);
 }
 
-std::uint64_t
-ShmKvs::bucketsFor(std::uint64_t region_bytes)
-{
-    panic_if(region_bytes <= bucketsOff, "region too small for a table");
-    return (region_bytes - bucketsOff) /
-           (entriesPerBucket * sizeof(Slot));
-}
-
 void
 ShmKvs::format(RegionIo &io, std::uint64_t bucket_count)
 {

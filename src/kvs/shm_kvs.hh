@@ -67,9 +67,6 @@ class ShmKvs
     /** Region bytes needed for @p bucket_count buckets. */
     static std::uint64_t regionBytesFor(std::uint64_t bucket_count);
 
-    /** Largest bucket count fitting in @p region_bytes. */
-    static std::uint64_t bucketsFor(std::uint64_t region_bytes);
-
     /** Initialize an empty table with @p bucket_count buckets. */
     static void format(RegionIo &io, std::uint64_t bucket_count);
 
@@ -109,6 +106,20 @@ class ShmKvs
 
     /** Bucket index of @p key (lock selection in clients). */
     static std::uint64_t bucketOf(RegionIo &io, const Key &key);
+
+    /**
+     * Host-side hint: start loading the first slot of @p key's bucket
+     * into the host's cache. @p buckets is the count the table was
+     * formatted with, as the host holds it, never the header's copy
+     * that a direct-mapped peer can rewrite; so the line always lies
+     * inside the region.
+     */
+    static void
+    prefetchBucket(const net::HostRegionIo &io, std::uint64_t buckets,
+                   const Key &key)
+    {
+        io.prefetch(slotOff(hashKey(key, buckets), 0));
+    }
 
   private:
     struct Header

@@ -26,7 +26,12 @@ mixToString(Mix mix)
 namespace
 {
 
-/** One client VM issuing operations. */
+/**
+ * One client VM issuing operations. It draws each operation one step
+ * before it runs it, so the client can hint the next key to the host
+ * (KvsClient::hostPrefetch) while the current operation runs; the draws
+ * are the same calls in the same order either way.
+ */
 class ClientActor : public sim::Actor
 {
   public:
@@ -36,6 +41,7 @@ class ClientActor : public sim::Actor
           remaining(ops), rng(seed)
     {
         startNs = client.vcpu().clock().now();
+        next = draw();
     }
 
     SimNs
@@ -47,17 +53,10 @@ class ClientActor : public sim::Actor
     bool
     step() override
     {
-        const std::uint64_t id = rng.below(keySpace);
-        bool is_put = false;
-        switch (mix) {
-          case Mix::GetOnly:
-            break;
-          case Mix::PutOnly:
-            is_put = true;
-            break;
-          case Mix::Mixed9010:
-            is_put = rng.chance(0.1);
-            break;
+        const auto [id, is_put] = next;
+        if (remaining > 1) {
+            next = draw();
+            client.hostPrefetch(makeKey(next.id));
         }
 
         if (is_put) {
@@ -94,11 +93,35 @@ class ClientActor : public sim::Actor
     }
 
   private:
+    /** One drawn operation. */
+    struct Op
+    {
+        std::uint64_t id;
+        bool isPut;
+    };
+
+    /** Draw the key, then (for a mixed workload) GET or PUT. */
+    Op
+    draw()
+    {
+        const std::uint64_t id = rng.below(keySpace);
+        switch (mix) {
+          case Mix::GetOnly:
+            return {id, false};
+          case Mix::PutOnly:
+            return {id, true};
+          case Mix::Mixed9010:
+            return {id, rng.chance(0.1)};
+        }
+        return {id, false};
+    }
+
     KvsClient &client;
     Mix mix;
     std::uint64_t keySpace;
     std::uint64_t remaining;
     sim::Rng rng;
+    Op next; ///< the operation the next step runs
 };
 
 } // anonymous namespace

@@ -133,6 +133,17 @@ class HostMemory
     }
 
     /**
+     * Host-side hint that the line holding @p hpa is read soon: starts
+     * loading it into the host's cache. It has no simulated effect and
+     * marks nothing.
+     */
+    void
+    prefetch(Hpa hpa) const
+    {
+        __builtin_prefetch(raw(hpa));
+    }
+
+    /**
      * True when some line of the frame holding @p hpa was written since
      * the frame was last zeroed by zeroWritten().
      */

@@ -81,6 +81,13 @@ class HostRegionIo : public RegionIo
         mem.write(baseHpa + off, src, len);
     }
 
+    /** Host cache hint for region offset @p off (HostMemory::prefetch). */
+    void
+    prefetch(std::uint64_t off) const
+    {
+        mem.prefetch(baseHpa + off);
+    }
+
   private:
     mem::HostMemory &mem;
     Hpa baseHpa;

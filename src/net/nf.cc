@@ -21,12 +21,6 @@ nfKindToString(NfKind kind)
     return "?";
 }
 
-std::uint64_t
-NfChain::stateBytes(std::size_t nf_count)
-{
-    return 8 + nf_count * sizeof(NfState);
-}
-
 void
 NfChain::build(RegionIo &io, std::uint64_t off,
                const std::vector<NfKind> &kinds,

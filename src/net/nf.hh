@@ -55,9 +55,6 @@ const char *nfKindToString(NfKind kind);
 class NfChain
 {
   public:
-    /** Bytes of state needed for @p nf_count NFs. */
-    static std::uint64_t stateBytes(std::size_t nf_count);
-
     /**
      * Write a fresh chain's state into the region.
      * @param deny_modulus firewall rule (0 = pass everything).

@@ -3,7 +3,7 @@
 # committed bench_results/ stays untouched and runs under ctest -j do
 # not share files.
 #
-#   elisa_bench_test.sh MODE ELISA_BENCH SOURCE_DIR
+#   elisa_bench_test.sh MODE ELISA_BENCH SOURCE_DIR [ID]
 #
 # MODE is one of:
 #   usage          no argument, an unknown id or a second argument exits
@@ -11,6 +11,8 @@
 #                  nothing
 #   csvs           T4, A1 and P1 reproduce the committed CSVs byte for
 #                  byte
+#   figure         entry ID writes at least one CSV, and each matches
+#                  the committed file byte for byte
 #   write_failure  an entry that cannot write under bench_results/
 #                  exits non-zero, on the CSV path (T4) and the
 #                  BENCH_*.json path (T3)
@@ -22,6 +24,17 @@ src=$3
 fail() {
     echo "FAIL: $*"
     exit 1
+}
+
+# cmp every CSV written under bench_results/ with the committed file;
+# count is how many were compared.
+compare_csvs() {
+    count=0
+    for f in bench_results/*.csv; do
+        [ -e "$f" ] || break
+        cmp "$f" "$src/$f" || fail "$f differs from the committed file"
+        count=$((count + 1))
+    done
 }
 
 dir=$(mktemp -d) || exit 1
@@ -45,12 +58,14 @@ csvs)
     for id in T4 A1 P1; do
         "$bench" "$id" > out.txt 2>&1 || fail "elisa_bench $id exited $?"
     done
-    count=0
-    for f in bench_results/*.csv; do
-        cmp "$f" "$src/$f" || fail "$f differs from the committed file"
-        count=$((count + 1))
-    done
+    compare_csvs
     [ "$count" -eq 6 ] || fail "wrote $count CSVs, want 6"
+    ;;
+figure)
+    id=$4
+    "$bench" "$id" > out.txt 2>&1 || fail "elisa_bench $id exited $?"
+    compare_csvs
+    [ "$count" -ge 1 ] || fail "elisa_bench $id wrote no CSV"
     ;;
 write_failure)
     : > bench_results # a regular file where the directory should be

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "base/units.hh"
 #include "kvs/clients.hh"
 #include "kvs/workload.hh"
@@ -389,6 +391,166 @@ TEST_F(KvsClientTest, ElisaTableIsolatedFromClients)
     cpu::GuestView v(vms[0]->vcpu(0));
     EXPECT_THROW(v.read<std::uint64_t>(core::objectGpa),
                  cpu::VmExitEvent);
+}
+
+TEST_F(KvsClientTest, HostPrefetchIgnoresForgedHeader)
+{
+    DirectKvsTable dt(hv, buckets);
+    VmcallKvsTable vt(hv, buckets);
+    ElisaKvsTable et(hv, manager, "kv-forged", buckets);
+    DirectKvsClient dc(dt, *vms[0]);
+    VmcallKvsClient vc(vt, *vms[1]);
+    core::ElisaGuest guest(*vms[2], svc);
+    ElisaKvsClient ec(et, manager, guest);
+
+    // The header's magic and bucket count, as a direct-mapped peer can
+    // rewrite them. The hint takes the geometry the host formatted the
+    // table with, so every prefetched line stays inside the region.
+    const std::uint64_t forged[2] = {~0ull, ~0ull};
+    for (net::HostRegionIo *io : {&dt.hostIo(), &vt.hostIo(), &et.hostIo()})
+        io->write(0, forged, sizeof(forged));
+
+    KvsClient *clients[] = {&dc, &vc, &ec};
+    for (KvsClient *c : clients) {
+        SCOPED_TRACE(c->scheme());
+        const SimNs before = c->vcpu().clock().now();
+        const auto counters = c->vcpu().stats().all();
+        for (std::uint64_t id = 0; id < 4 * buckets; ++id)
+            c->hostPrefetch(makeKey(id));
+        // A hint has no simulated effect.
+        EXPECT_EQ(c->vcpu().clock().now(), before);
+        EXPECT_EQ(c->vcpu().stats().all(), counters);
+    }
+}
+
+/** The ID a workload key was made from (makeKey). */
+std::uint64_t
+idOf(const Key &key)
+{
+    std::uint64_t id;
+    std::memcpy(&id, key.data(), sizeof(id));
+    return id;
+}
+
+/** One operation or host hint, as a client saw it. */
+struct ClientEvent
+{
+    char kind; ///< 'G' GET, 'P' PUT, 'H' hostPrefetch
+    std::uint64_t id;
+};
+
+/** Forwards to another client and logs what it is asked to do. */
+class RecordingClient : public KvsClient
+{
+  public:
+    RecordingClient(KvsClient &inner, unsigned index, std::string &ops)
+        : inner(inner), index(index), ops(ops)
+    {
+    }
+
+    const char *scheme() const override { return inner.scheme(); }
+    cpu::Vcpu &vcpu() override { return inner.vcpu(); }
+
+    bool
+    put(const Key &key, const Value &value) override
+    {
+        log('P', key);
+        return inner.put(key, value);
+    }
+
+    std::optional<Value>
+    get(const Key &key) override
+    {
+        log('G', key);
+        return inner.get(key);
+    }
+
+    bool remove(const Key &key) override { return inner.remove(key); }
+
+    bool
+    cas(const Key &key, const Value &expected,
+        const Value &desired) override
+    {
+        return inner.cas(key, expected, desired);
+    }
+
+    void
+    hostPrefetch(const Key &key) override
+    {
+        events.push_back({'H', idOf(key)});
+        inner.hostPrefetch(key);
+    }
+
+    std::vector<ClientEvent> events;
+
+  private:
+    void
+    log(char kind, const Key &key)
+    {
+        events.push_back({kind, idOf(key)});
+        ops += std::to_string(index) + kind + std::to_string(idOf(key)) +
+               " ";
+    }
+
+    KvsClient &inner;
+    unsigned index;
+    std::string &ops;
+};
+
+class KvsWorkload : public KvsClientTest
+{
+};
+
+TEST_F(KvsWorkload, LookaheadKeepsEachClientsOperations)
+{
+    DirectKvsTable dt(hv, buckets);
+    VmcallKvsTable vt(hv, buckets);
+    ElisaKvsTable et(hv, manager, "kv-lookahead", buckets);
+    for (net::HostRegionIo *io : {&dt.hostIo(), &vt.hostIo(), &et.hostIo()})
+        prepopulate(*io, keySpace);
+    DirectKvsClient dc(dt, *vms[0]);
+    VmcallKvsClient vc(vt, *vms[1]);
+    core::ElisaGuest guest(*vms[2], svc);
+    ElisaKvsClient ec(et, manager, guest);
+
+    std::string ops; // "<client><G|P><key id> ", in the order they ran
+    RecordingClient rd(dc, 0, ops), rv(vc, 1, ops), re(ec, 2, ops);
+    std::vector<RecordingClient *> recorders{&rd, &rv, &re};
+    const std::uint64_t n = 16;
+    const auto r = runKvsWorkload({&rd, &rv, &re}, Mix::Mixed9010,
+                                  keySpace, n, /*seed=*/5);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_EQ(r.corrupt, 0u);
+
+    // The log of a workload that draws each operation as it runs it:
+    // drawing one step ahead moves no operation, key or interleaving.
+    EXPECT_EQ(ops,
+              "0P7846 1G8657 0G4613 0G8143 1G9480 0G3416 0G13326 "
+              "1G14852 0G13672 0G12853 1G5277 2G13055 0P2129 0G4561 "
+              "2G5866 1G13712 0G6909 2G15924 0P9759 1G1461 2G8396 "
+              "0G10295 2G10568 0G635 1G12798 0G15186 2G5596 0G7493 "
+              "2G8014 1G7791 0G13168 2G11430 1G3307 2G12592 2G6684 "
+              "1G12594 2G14736 2P10414 1G11199 2P14961 1G9005 2G8849 "
+              "2G3385 1G3186 2G10482 1P13568 1G11641 1G6647 ");
+
+    for (const RecordingClient *rec : recorders) {
+        SCOPED_TRACE(rec->scheme());
+        std::vector<std::size_t> opAt, hintAt;
+        for (std::size_t i = 0; i < rec->events.size(); ++i)
+            (rec->events[i].kind == 'H' ? hintAt : opAt).push_back(i);
+        ASSERT_EQ(opAt.size(), n);
+        ASSERT_EQ(hintAt.size(), n - 1);
+        // Hint j names operation j + 1's key, after operation j - 1
+        // ran and before operation j + 1 runs.
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+            EXPECT_EQ(rec->events[hintAt[j]].id,
+                      rec->events[opAt[j + 1]].id);
+            EXPECT_LT(hintAt[j], opAt[j + 1]);
+            if (j > 0) {
+                EXPECT_GT(hintAt[j], opAt[j - 1]);
+            }
+        }
+    }
 }
 
 } // namespace
