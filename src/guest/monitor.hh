@@ -127,7 +127,7 @@ class MonitorGuest
     /**
      * The accumulated CSV document: header plus one row per distinct
      * publication seq scraped, in scrape order — the guest-side mirror
-     * of the host's Metrics::csvRow() sampling loop.
+     * of the host's MetricsCsvSampler.
      */
     const std::string &csvDocument() const { return csvDoc; }
 

@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
+#include "sim/metrics.hh"
 
 namespace elisa::hv
 {
@@ -38,9 +39,8 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
                      unsigned vcpu_count)
 {
     const VmId id = nextVmId++;
-    // Occupancy book entry (reservation size); gauges only exist when
-    // a scenario attaches them (FrameAllocator::attachGauges).
-    frames.noteOwner(id, name, ram_bytes / pageSize);
+    // Occupancy book entry (reservation size).
+    frames.noteOwner(id, ram_bytes / pageSize);
     auto vm = std::make_unique<Vm>(*this, id, name, ram_bytes, vcpu_count);
     Vm &ref = *vm;
     for (unsigned i = 0; i < ref.vcpuCount(); ++i)

@@ -26,9 +26,13 @@
 #include "sim/exit_ledger.hh"
 #include "sim/fault.hh"
 #include "sim/flight_recorder.hh"
-#include "sim/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/tracer.hh"
+
+namespace elisa::sim
+{
+class Metrics;
+} // namespace elisa::sim
 
 namespace elisa::hv
 {

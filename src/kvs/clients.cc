@@ -19,42 +19,51 @@ constexpr Gpa kvsWindowGpa = 0x520000000000ull;
 constexpr std::size_t lockStripes = 4096;
 
 /**
- * The ShmKvs operations: GET, PUT, remove, CAS. Writes hold their
- * bucket's lock from one set of striped locks the table's ops share.
+ * The ShmKvs operations on a table of @p buckets buckets: GET, PUT,
+ * remove, CAS. Writes hold their bucket's lock from one set of striped
+ * locks the table's ops share.
  */
 StoreOps
-shmKvsOps()
+shmKvsOps(std::uint64_t buckets)
 {
+    using Write = bool (*)(RegionIo &, std::uint64_t, OpArgs &);
     auto locks = std::make_shared<std::vector<sim::SimLock>>(lockStripes);
-    // A write holds its bucket's lock across the put-cost lump.
-    auto locked = [locks](bool (*write)(RegionIo &, OpArgs &)) {
-        return [locks, write](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+    // A write holds its bucket's lock across the put-cost lump. A
+    // region whose header lost its magic fails it before the lock.
+    auto locked = [locks, buckets](Write write) {
+        return [locks, buckets, write](cpu::Vcpu &cpu, RegionIo &io,
+                                       OpArgs &a) {
+            if (!ShmKvs::formatted(io))
+                return false;
             sim::SimLock &lock =
-                (*locks)[ShmKvs::bucketOf(io, a.key) % locks->size()];
+                (*locks)[hashKey(a.key, buckets) % locks->size()];
             lock.acquire(cpu.clock());
             cpu.clock().advance(cpu.costModel().kvsPutCoreNs);
-            const bool ok = write(io, a);
+            const bool ok = write(io, buckets, a);
             lock.release(cpu.clock());
             return ok;
         };
     };
     return {
         {0, true,
-         [](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
+         [buckets](cpu::Vcpu &cpu, RegionIo &io, OpArgs &a) {
              cpu.clock().advance(cpu.costModel().kvsGetCoreNs);
-             auto value = ShmKvs::get(io, a.key);
+             auto value = ShmKvs::get(io, buckets, a.key);
              if (value)
                  a.value = *value;
              return value.has_value();
          }},
-        {1, false, locked([](RegionIo &io, OpArgs &a) {
-             return ShmKvs::put(io, a.key, a.value);
+        {1, false,
+         locked([](RegionIo &io, std::uint64_t n, OpArgs &a) {
+             return ShmKvs::put(io, n, a.key, a.value);
          })},
-        {0, false, locked([](RegionIo &io, OpArgs &a) {
-             return ShmKvs::remove(io, a.key);
+        {0, false,
+         locked([](RegionIo &io, std::uint64_t n, OpArgs &a) {
+             return ShmKvs::remove(io, n, a.key);
          })},
-        {2, false, locked([](RegionIo &io, OpArgs &a) {
-             return ShmKvs::cas(io, a.key, a.value, a.desired);
+        {2, false,
+         locked([](RegionIo &io, std::uint64_t n, OpArgs &a) {
+             return ShmKvs::cas(io, n, a.key, a.value, a.desired);
          })},
     };
 }
@@ -64,8 +73,10 @@ shmKvsOps()
 void
 prepopulate(net::RegionIo &host_io, std::uint64_t count)
 {
+    const std::uint64_t buckets = ShmKvs::bucketCount(host_io);
     for (std::uint64_t id = 0; id < count; ++id) {
-        const bool ok = ShmKvs::put(host_io, makeKey(id), makeValue(id));
+        const bool ok =
+            ShmKvs::put(host_io, buckets, makeKey(id), makeValue(id));
         fatal_if(!ok,
                  "prepopulation overflowed a bucket at key %llu "
                  "(raise the bucket count)",
@@ -79,7 +90,7 @@ KvsTable::KvsTable(hv::Hypervisor &hv, Scheme scheme,
                    const std::string &name, std::uint64_t bucket_count,
                    core::ElisaManager *manager, Gpa window)
     : Store(hv, scheme, name, ShmKvs::regionBytesFor(bucket_count),
-            shmKvsOps(), manager, window),
+            shmKvsOps(bucket_count), manager, window),
       bucketCount(bucket_count)
 {
     ShmKvs::format(hostIo(), bucket_count);

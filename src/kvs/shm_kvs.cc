@@ -87,19 +87,15 @@ ShmKvs::bucketCount(RegionIo &io)
     return h.buckets;
 }
 
-std::uint64_t
-ShmKvs::bucketOf(RegionIo &io, const Key &key)
-{
-    return hashKey(key, bucketCount(io));
-}
-
 bool
-ShmKvs::put(RegionIo &io, const Key &key, const Value &value)
+ShmKvs::put(RegionIo &io, std::uint64_t buckets, const Key &key,
+            const Value &value)
 {
     Header h;
     io.read(0, &h, sizeof(h));
-    panic_if(h.magic != magicValue, "unformatted KVS region");
-    const std::uint64_t bucket = hashKey(key, h.buckets);
+    if (h.magic != magicValue)
+        return false;
+    const std::uint64_t bucket = hashKey(key, buckets);
 
     std::int32_t free_slot = -1;
     for (std::uint32_t s = 0; s < entriesPerBucket; ++s) {
@@ -132,12 +128,11 @@ ShmKvs::put(RegionIo &io, const Key &key, const Value &value)
 }
 
 std::optional<Value>
-ShmKvs::get(RegionIo &io, const Key &key)
+ShmKvs::get(RegionIo &io, std::uint64_t buckets, const Key &key)
 {
-    Header h;
-    io.read(0, &h, sizeof(h));
-    panic_if(h.magic != magicValue, "unformatted KVS region");
-    const std::uint64_t bucket = hashKey(key, h.buckets);
+    if (!formatted(io))
+        return std::nullopt;
+    const std::uint64_t bucket = hashKey(key, buckets);
 
     for (std::uint32_t s = 0; s < entriesPerBucket; ++s) {
         Slot slot;
@@ -153,13 +148,12 @@ ShmKvs::get(RegionIo &io, const Key &key)
 }
 
 bool
-ShmKvs::cas(RegionIo &io, const Key &key, const Value &expected,
-            const Value &desired)
+ShmKvs::cas(RegionIo &io, std::uint64_t buckets, const Key &key,
+            const Value &expected, const Value &desired)
 {
-    Header h;
-    io.read(0, &h, sizeof(h));
-    panic_if(h.magic != magicValue, "unformatted KVS region");
-    const std::uint64_t bucket = hashKey(key, h.buckets);
+    if (!formatted(io))
+        return false;
+    const std::uint64_t bucket = hashKey(key, buckets);
 
     for (std::uint32_t s = 0; s < entriesPerBucket; ++s) {
         Slot slot;
@@ -179,12 +173,13 @@ ShmKvs::cas(RegionIo &io, const Key &key, const Value &expected,
 }
 
 bool
-ShmKvs::remove(RegionIo &io, const Key &key)
+ShmKvs::remove(RegionIo &io, std::uint64_t buckets, const Key &key)
 {
     Header h;
     io.read(0, &h, sizeof(h));
-    panic_if(h.magic != magicValue, "unformatted KVS region");
-    const std::uint64_t bucket = hashKey(key, h.buckets);
+    if (h.magic != magicValue)
+        return false;
+    const std::uint64_t bucket = hashKey(key, buckets);
 
     for (std::uint32_t s = 0; s < entriesPerBucket; ++s) {
         Slot slot;

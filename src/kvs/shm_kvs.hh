@@ -60,6 +60,12 @@ std::uint64_t hashKey(const Key &key, std::uint64_t bucket_count);
 
 /**
  * The table operations, stateless over a RegionIo.
+ *
+ * GET, PUT, remove and CAS take the bucket count the table was
+ * formatted with, as its owner holds it, never the header's copy that
+ * a direct-mapped peer can rewrite; so every slot they touch lies
+ * inside the region. A region whose header lost its magic fails the
+ * operation (a miss or false).
  */
 class ShmKvs
 {
@@ -76,43 +82,43 @@ class ShmKvs
     /** Number of stored entries. */
     static std::uint64_t size(RegionIo &io);
 
-    /** Bucket count of a formatted table. */
+    /**
+     * Bucket count in the header of a formatted table; panics on an
+     * unformatted region. For the host, right after it formats one.
+     */
     static std::uint64_t bucketCount(RegionIo &io);
 
     /**
-     * Insert or update.
+     * Insert or update in a table of @p buckets buckets.
      * @return false when the destination bucket is full.
      */
-    static bool put(RegionIo &io, const Key &key, const Value &value);
+    static bool put(RegionIo &io, std::uint64_t buckets, const Key &key,
+                    const Value &value);
 
-    /** Look up @p key. */
-    static std::optional<Value> get(RegionIo &io, const Key &key);
+    /** Look up @p key in a table of @p buckets buckets. */
+    static std::optional<Value> get(RegionIo &io, std::uint64_t buckets,
+                                    const Key &key);
 
     /**
-     * Delete @p key.
+     * Delete @p key from a table of @p buckets buckets.
      * @return false when the key was absent.
      */
-    static bool remove(RegionIo &io, const Key &key);
+    static bool remove(RegionIo &io, std::uint64_t buckets,
+                       const Key &key);
 
     /**
-     * Compare-and-swap: replace the value of @p key with @p desired
-     * only if the current value equals @p expected. (Atomicity is
-     * the caller's concern — clients wrap this in the bucket lock,
-     * like put.)
+     * Compare-and-swap in a table of @p buckets buckets: replace the
+     * value of @p key with @p desired only if the current value equals
+     * @p expected. (Atomicity is the caller's concern — clients wrap
+     * this in the bucket lock, like put.)
      * @return true when the swap happened.
      */
-    static bool cas(RegionIo &io, const Key &key, const Value &expected,
-                    const Value &desired);
-
-    /** Bucket index of @p key (lock selection in clients). */
-    static std::uint64_t bucketOf(RegionIo &io, const Key &key);
+    static bool cas(RegionIo &io, std::uint64_t buckets, const Key &key,
+                    const Value &expected, const Value &desired);
 
     /**
      * Host-side hint: start loading the first slot of @p key's bucket
-     * into the host's cache. @p buckets is the count the table was
-     * formatted with, as the host holds it, never the header's copy
-     * that a direct-mapped peer can rewrite; so the line always lies
-     * inside the region.
+     * into the host's cache, in a table of @p buckets buckets.
      */
     static void
     prefetchBucket(const net::HostRegionIo &io, std::uint64_t buckets,

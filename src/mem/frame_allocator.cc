@@ -104,21 +104,15 @@ FrameAllocator::isAllocated(Hpa hpa) const
 }
 
 void
-FrameAllocator::noteOwner(std::uint32_t owner, const std::string &name,
+FrameAllocator::noteOwner(std::uint32_t owner,
                           std::uint64_t reserved_frames)
 {
-    OwnerEntry &entry = owners[owner];
-    entry.name = name;
-    entry.usage.reservedFrames = reserved_frames;
-    if (metricsPtr && !entry.gaugesRegistered)
-        registerOwnerGauges(owner, entry);
+    owners[owner].reservedFrames = reserved_frames;
 }
 
 void
 FrameAllocator::dropOwner(std::uint32_t owner)
 {
-    // Registered gauges stay in the registry (a registry never forgets
-    // a family); the entry just stops being sampled.
     owners.erase(owner);
 }
 
@@ -128,10 +122,10 @@ FrameAllocator::addResident(std::uint32_t owner, std::int64_t delta)
     auto it = owners.find(owner);
     panic_if(it == owners.end(), "resident charge for unknown owner %u",
              owner);
-    const auto next = static_cast<std::int64_t>(
-                          it->second.usage.residentFrames) + delta;
+    const auto next =
+        static_cast<std::int64_t>(it->second.residentFrames) + delta;
     panic_if(next < 0, "resident frames of owner %u under-run", owner);
-    it->second.usage.residentFrames = static_cast<std::uint64_t>(next);
+    it->second.residentFrames = static_cast<std::uint64_t>(next);
 }
 
 void
@@ -140,10 +134,10 @@ FrameAllocator::addSwapped(std::uint32_t owner, std::int64_t delta)
     auto it = owners.find(owner);
     panic_if(it == owners.end(), "swapped charge for unknown owner %u",
              owner);
-    const auto next = static_cast<std::int64_t>(
-                          it->second.usage.swappedFrames) + delta;
+    const auto next =
+        static_cast<std::int64_t>(it->second.swappedFrames) + delta;
     panic_if(next < 0, "swapped frames of owner %u under-run", owner);
-    it->second.usage.swappedFrames = static_cast<std::uint64_t>(next);
+    it->second.swappedFrames = static_cast<std::uint64_t>(next);
 }
 
 void
@@ -153,63 +147,14 @@ FrameAllocator::setBalloonTarget(std::uint32_t owner,
     auto it = owners.find(owner);
     panic_if(it == owners.end(), "balloon target for unknown owner %u",
              owner);
-    it->second.usage.balloonTargetFrames = frames;
+    it->second.balloonTargetFrames = frames;
 }
 
 const FrameAllocator::OwnerUsage *
 FrameAllocator::ownerUsage(std::uint32_t owner) const
 {
     auto it = owners.find(owner);
-    return it == owners.end() ? nullptr : &it->second.usage;
-}
-
-void
-FrameAllocator::attachGauges(sim::Metrics &metrics)
-{
-    metricsPtr = &metrics;
-    freeGauge = metrics.gauge("mem_frames_free");
-    allocatedGauge = metrics.gauge("mem_frames_allocated");
-    for (auto &[owner, entry] : owners) {
-        if (!entry.gaugesRegistered)
-            registerOwnerGauges(owner, entry);
-    }
-}
-
-void
-FrameAllocator::registerOwnerGauges(std::uint32_t owner,
-                                    OwnerEntry &entry)
-{
-    (void)owner;
-    const sim::Labels labels = {{"vm", entry.name}};
-    entry.residentGauge =
-        metricsPtr->gauge("mem_resident_frames", labels);
-    entry.swappedGauge =
-        metricsPtr->gauge("mem_swapped_frames", labels);
-    entry.targetGauge =
-        metricsPtr->gauge("mem_balloon_target_frames", labels);
-    entry.gaugesRegistered = true;
-}
-
-void
-FrameAllocator::sampleGauges()
-{
-    if (!metricsPtr)
-        return;
-    metricsPtr->set(freeGauge, static_cast<double>(freeFrames()));
-    metricsPtr->set(allocatedGauge,
-                    static_cast<double>(allocated()));
-    for (auto &[owner, entry] : owners) {
-        (void)owner;
-        if (!entry.gaugesRegistered)
-            continue;
-        metricsPtr->set(entry.residentGauge,
-                        static_cast<double>(entry.usage.residentFrames));
-        metricsPtr->set(entry.swappedGauge,
-                        static_cast<double>(entry.usage.swappedFrames));
-        metricsPtr->set(
-            entry.targetGauge,
-            static_cast<double>(entry.usage.balloonTargetFrames));
-    }
+    return it == owners.end() ? nullptr : &it->second;
 }
 
 } // namespace elisa::mem

@@ -14,9 +14,7 @@
  *
  * The allocator additionally keeps the machine's memory-occupancy
  * book for demand paging: per-owner (per-VM) resident/swapped frame
- * counts and balloon targets, updated by the hv::Pager and exported
- * as labeled sim::Metrics gauges (attachGauges + sampleGauges, wired
- * to the engine's periodic sampler by paging scenarios).
+ * counts and balloon targets, updated by the hv::Pager.
  */
 
 #ifndef ELISA_MEM_FRAME_ALLOCATOR_HH
@@ -25,12 +23,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "base/types.hh"
 #include "mem/host_memory.hh"
-#include "sim/metrics.hh"
 
 namespace elisa::mem
 {
@@ -99,12 +95,10 @@ class FrameAllocator
     };
 
     /**
-     * Register owner @p owner (a VM id) with a display @p name and its
-     * RAM reservation size. Idempotent; re-registering updates the
-     * reservation.
+     * Register owner @p owner (a VM id) with its RAM reservation size.
+     * Idempotent; re-registering updates the reservation.
      */
-    void noteOwner(std::uint32_t owner, const std::string &name,
-                   std::uint64_t reserved_frames);
+    void noteOwner(std::uint32_t owner, std::uint64_t reserved_frames);
 
     /** Forget owner @p owner (VM destroyed). */
     void dropOwner(std::uint32_t owner);
@@ -125,35 +119,7 @@ class FrameAllocator
      */
     const OwnerUsage *ownerUsage(std::uint32_t owner) const;
 
-    /**
-     * Export the occupancy book as gauges on @p metrics:
-     * machine-level mem_frames_free/mem_frames_allocated plus
-     * per-owner mem_resident_frames/mem_swapped_frames/
-     * mem_balloon_target_frames labeled vm="<name>" (layer prefix in
-     * the family, identity in labels — see the naming rules in
-     * DESIGN.md §15). Owners registered later are picked up on
-     * their noteOwner(). Call sampleGauges() to publish values (pair
-     * with Engine::setSampler for periodic simulated-time sampling).
-     */
-    void attachGauges(sim::Metrics &metrics);
-
-    /** Publish current occupancy into the attached gauges. */
-    void sampleGauges();
-
   private:
-    struct OwnerEntry
-    {
-        std::string name;
-        OwnerUsage usage;
-        sim::MetricId residentGauge = 0;
-        sim::MetricId swappedGauge = 0;
-        sim::MetricId targetGauge = 0;
-        bool gaugesRegistered = false;
-    };
-
-    /** Register one owner's gauges (when metrics are attached). */
-    void registerOwnerGauges(std::uint32_t owner, OwnerEntry &entry);
-
     /** Mark [first, first+count) allocated, zeroing written frames. */
     void handOut(std::uint64_t first, std::uint64_t count);
 
@@ -161,10 +127,7 @@ class FrameAllocator
     std::optional<std::uint64_t> findRun(std::uint64_t from,
                                          std::uint64_t count) const;
 
-    sim::Metrics *metricsPtr = nullptr;
-    sim::MetricId freeGauge = 0;
-    sim::MetricId allocatedGauge = 0;
-    std::map<std::uint32_t, OwnerEntry> owners;
+    std::map<std::uint32_t, OwnerUsage> owners;
 
     HostMemory &mem;
     std::uint64_t totalFrames;

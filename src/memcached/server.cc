@@ -39,13 +39,14 @@ Server::serve(std::uint32_t seq, bool is_set, std::uint64_t key_id,
     // is part of memcached's own work, priced like the KVS cores).
     if (is_set) {
         cpu.clock().advance(cost.kvsPutCoreNs);
-        const bool ok = kvs::ShmKvs::put(*storeIo, kvs::makeKey(key_id),
-                                         kvs::makeValue(key_id));
+        const bool ok =
+            kvs::ShmKvs::put(*storeIo, buckets, kvs::makeKey(key_id),
+                             kvs::makeValue(key_id));
         if (!ok)
             ++missCount; // bucket overflow counted as a miss
     } else {
         cpu.clock().advance(cost.kvsGetCoreNs);
-        if (!kvs::ShmKvs::get(*storeIo, kvs::makeKey(key_id)))
+        if (!kvs::ShmKvs::get(*storeIo, buckets, kvs::makeKey(key_id)))
             ++missCount;
     }
 

@@ -1,7 +1,6 @@
 #include "sim/flight_recorder.hh"
 
 #include <algorithm>
-#include <fstream>
 
 #include "base/logging.hh"
 
@@ -304,14 +303,6 @@ FlightRecorder::dump(std::uint32_t vm, SimNs now,
     pm.json = std::move(out);
     if (!ledger)
         pm.conserved = true;
-
-    if (!outputDir.empty()) {
-        const std::string path =
-            outputDir + detail::format("/postmortem_vm%u.json", vm);
-        std::ofstream file(path, std::ios::trunc);
-        if (file)
-            file << pm.json;
-    }
     return pm.json;
 }
 

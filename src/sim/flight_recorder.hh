@@ -90,12 +90,6 @@ class FlightRecorder
     /** Conservation verdict of the last dump of @p vm. */
     bool postMortemConserved(std::uint32_t vm) const;
 
-    /**
-     * When set, every dump is also written to
-     * "<dir>/postmortem_vm<id>.json" (gitignored output).
-     */
-    void setOutputDir(std::string dir) { outputDir = std::move(dir); }
-
     // ---- introspection (tests) -------------------------------------
     /** Events currently held for @p vm. */
     std::size_t heldFor(std::uint32_t vm) const;
@@ -144,7 +138,6 @@ class FlightRecorder
         ledgerBaseline; ///< (events, ns) at baseline time
     std::map<std::uint32_t, std::string> killReasons;
     std::map<std::uint32_t, PostMortem> postMortems;
-    std::string outputDir;
 };
 
 } // namespace elisa::sim

@@ -12,28 +12,6 @@ namespace elisa::sim
 namespace
 {
 
-// Structured index-key separators: control characters that cannot
-// appear in sane metric names or label text, so distinct
-// (name, labels) identities can never serialize to the same key
-// (the "label interning collision" guarantee).
-constexpr char sepName = '\x1f';
-constexpr char sepKv = '\x1e';
-constexpr char sepPair = '\x1d';
-
-std::string
-indexKey(const std::string &name, const Labels &labels)
-{
-    std::string key = name;
-    key += sepName;
-    for (const auto &[k, v] : labels) {
-        key += k;
-        key += sepKv;
-        key += v;
-        key += sepPair;
-    }
-    return key;
-}
-
 /** Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. */
 std::string
 sanitizeFamily(const std::string &name)
@@ -74,42 +52,6 @@ escapeLabelValue(const std::string &value)
     return out;
 }
 
-/** Extra quantile labeled render (summary samples). */
-std::string
-renderLabelsWithQuantile(const Labels &labels, const char *q)
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[k, v] : labels) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += sanitizeFamily(k);
-        out += "=\"";
-        out += escapeLabelValue(v);
-        out += '"';
-    }
-    if (!first)
-        out += ',';
-    out += "quantile=\"";
-    out += q;
-    out += "\"}";
-    return out;
-}
-
-/**
- * Deterministic scalar rendering: integral doubles print as integers
- * (the common case — counters, ns totals), everything else as %.6g.
- */
-std::string
-formatScalar(double value)
-{
-    const auto as_int = static_cast<long long>(value);
-    if (value == static_cast<double>(as_int))
-        return detail::format("%lld", as_int);
-    return detail::format("%.6g", value);
-}
-
 /** CSV cell escaping (RFC-4180-ish, matching TextTable::renderCsv). */
 std::string
 csvCell(const std::string &cell)
@@ -148,113 +90,6 @@ renderMetricLabels(const Labels &labels)
     return out;
 }
 
-const char *
-metricKindToString(MetricKind kind)
-{
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "?";
-}
-
-MetricId
-Metrics::registerMetric(const std::string &name, Labels labels,
-                        MetricKind kind, unsigned sub_bits,
-                        std::uint64_t max_value)
-{
-    panic_if(name.empty(), "metric with empty name");
-    std::sort(labels.begin(), labels.end());
-    for (std::size_t i = 1; i < labels.size(); ++i) {
-        panic_if(labels[i].first == labels[i - 1].first,
-                 "duplicate label key '%s' on metric '%s'",
-                 labels[i].first.c_str(), name.c_str());
-    }
-
-    const std::string key = indexKey(name, labels);
-    auto it = index.find(key);
-    if (it != index.end()) {
-        // Idempotent re-registration: the same identity must resolve
-        // to the same id AND the same kind.
-        panic_if(metas[it->second].kind != kind,
-                 "metric '%s' re-registered as %s (was %s)",
-                 name.c_str(), metricKindToString(kind),
-                 metricKindToString(metas[it->second].kind));
-        return it->second;
-    }
-
-    const MetricId id = static_cast<MetricId>(metas.size());
-    std::uint32_t slot = 0;
-    switch (kind) {
-      case MetricKind::Counter:
-        slot = static_cast<std::uint32_t>(counters.size());
-        counters.push_back(0);
-        break;
-      case MetricKind::Gauge:
-        slot = static_cast<std::uint32_t>(gauges.size());
-        gauges.push_back(0.0);
-        break;
-      case MetricKind::Histogram:
-        slot = static_cast<std::uint32_t>(hists.size());
-        hists.emplace_back(sub_bits, max_value);
-        break;
-    }
-    metas.push_back(Meta{name, std::move(labels), kind, slot});
-    index.emplace(key, id);
-    return id;
-}
-
-MetricId
-Metrics::counter(const std::string &name, Labels labels)
-{
-    return registerMetric(name, std::move(labels), MetricKind::Counter,
-                          0, 0);
-}
-
-MetricId
-Metrics::gauge(const std::string &name, Labels labels)
-{
-    return registerMetric(name, std::move(labels), MetricKind::Gauge, 0,
-                          0);
-}
-
-MetricId
-Metrics::histogram(const std::string &name, Labels labels,
-                   unsigned sub_bucket_bits, std::uint64_t max_value)
-{
-    return registerMetric(name, std::move(labels), MetricKind::Histogram,
-                          sub_bucket_bits, max_value);
-}
-
-std::uint64_t
-Metrics::counterValue(MetricId id) const
-{
-    panic_if(id >= metas.size() || metas[id].kind != MetricKind::Counter,
-             "bad counter id %u", id);
-    return counters[metas[id].slot];
-}
-
-double
-Metrics::gaugeValue(MetricId id) const
-{
-    panic_if(id >= metas.size() || metas[id].kind != MetricKind::Gauge,
-             "bad gauge id %u", id);
-    return gauges[metas[id].slot];
-}
-
-const Histogram &
-Metrics::histogramAt(MetricId id) const
-{
-    panic_if(id >= metas.size() ||
-                 metas[id].kind != MetricKind::Histogram,
-             "bad histogram id %u", id);
-    return hists[metas[id].slot];
-}
-
 void
 Metrics::attachStatSet(const StatSet &set, Labels labels,
                        std::string prefix)
@@ -278,82 +113,24 @@ Metrics::detachStatSet(const StatSet &set)
                   [&set](const Source &src) { return src.set == &set; });
 }
 
-void
-Metrics::clearValues()
+std::vector<ExportSample>
+Metrics::exportSamples() const
 {
-    std::fill(counters.begin(), counters.end(), 0);
-    std::fill(gauges.begin(), gauges.end(), 0.0);
-    for (Histogram &h : hists)
-        h.clear();
-}
-
-std::vector<Metrics::Sample>
-Metrics::collect() const
-{
-    std::vector<Sample> out;
-    out.reserve(metas.size());
-    for (const Meta &meta : metas) {
-        Sample s;
-        s.family = sanitizeFamily(meta.name);
-        s.labelStr = renderMetricLabels(meta.labels);
-        s.labels = meta.labels;
-        s.kind = meta.kind;
-        switch (meta.kind) {
-          case MetricKind::Counter:
-            s.counterVal = counters[meta.slot];
-            break;
-          case MetricKind::Gauge:
-            s.gaugeVal = gauges[meta.slot];
-            break;
-          case MetricKind::Histogram:
-            s.hist = &hists[meta.slot];
-            break;
-        }
-        out.push_back(std::move(s));
-    }
+    std::vector<ExportSample> out;
     for (const Source &src : sources) {
         const std::string label_str = renderMetricLabels(src.labels);
         // StatSet::all() iterates its name-sorted map: deterministic.
         for (const auto &[name, value] : src.set->all()) {
-            Sample s;
-            s.family = sanitizeFamily(src.prefix + name);
-            s.labelStr = label_str;
-            s.labels = src.labels;
-            s.kind = MetricKind::Counter;
-            s.counterVal = value;
-            out.push_back(std::move(s));
+            out.push_back(ExportSample{sanitizeFamily(src.prefix + name),
+                                       label_str, src.labels, value});
         }
     }
     std::sort(out.begin(), out.end(),
-              [](const Sample &a, const Sample &b) {
+              [](const ExportSample &a, const ExportSample &b) {
                   if (a.family != b.family)
                       return a.family < b.family;
                   return a.labelStr < b.labelStr;
               });
-    return out;
-}
-
-std::vector<ExportSample>
-Metrics::exportSamples() const
-{
-    const std::vector<Sample> samples = collect();
-    std::vector<ExportSample> out;
-    out.reserve(samples.size());
-    for (const Sample &s : samples) {
-        ExportSample e;
-        e.family = s.family;
-        e.labelStr = s.labelStr;
-        e.labels = s.labels;
-        e.kind = s.kind;
-        e.counterVal = s.counterVal;
-        e.gaugeVal = s.gaugeVal;
-        if (s.kind == MetricKind::Histogram) {
-            const Histogram &h = *s.hist;
-            e.hist = HistSummary{h.count(), h.sum(),   h.p50(),
-                                 h.p95(),   h.p99(),   h.p999()};
-        }
-        out.push_back(std::move(e));
-    }
     return out;
 }
 
@@ -365,43 +142,10 @@ renderPrometheus(const std::vector<ExportSample> &samples)
     for (const ExportSample &s : samples) {
         if (s.family != open_family) {
             open_family = s.family;
-            const char *type =
-                s.kind == MetricKind::Counter  ? "counter"
-                : s.kind == MetricKind::Gauge  ? "gauge"
-                                               : "summary";
-            out << "# TYPE " << s.family << ' ' << type << '\n';
+            out << "# TYPE " << s.family << " counter\n";
         }
-        switch (s.kind) {
-          case MetricKind::Counter:
-            out << s.family << "_total" << s.labelStr << ' '
-                << s.counterVal << '\n';
-            break;
-          case MetricKind::Gauge:
-            out << s.family << s.labelStr << ' '
-                << formatScalar(s.gaugeVal) << '\n';
-            break;
-          case MetricKind::Histogram: {
-            // Summary exposition: the four paper-relevant quantiles
-            // plus _sum/_count, all integer math.
-            const HistSummary &h = s.hist;
-            out << s.family << renderLabelsWithQuantile(s.labels, "0.5")
-                << ' ' << h.p50 << '\n';
-            out << s.family
-                << renderLabelsWithQuantile(s.labels, "0.95") << ' '
-                << h.p95 << '\n';
-            out << s.family
-                << renderLabelsWithQuantile(s.labels, "0.99") << ' '
-                << h.p99 << '\n';
-            out << s.family
-                << renderLabelsWithQuantile(s.labels, "0.999") << ' '
-                << h.p999 << '\n';
-            out << s.family << "_sum" << s.labelStr << ' ' << h.sum
-                << '\n';
-            out << s.family << "_count" << s.labelStr << ' '
-                << h.count << '\n';
-            break;
-          }
-        }
+        out << s.family << "_total" << s.labelStr << ' ' << s.counterVal
+            << '\n';
     }
     return out.str();
 }
@@ -413,45 +157,12 @@ Metrics::prometheus() const
 }
 
 std::string
-Metrics::report() const
-{
-    const std::vector<Sample> samples = collect();
-    std::ostringstream out;
-    for (const Sample &s : samples) {
-        out << s.family << s.labelStr << " = ";
-        switch (s.kind) {
-          case MetricKind::Counter:
-            out << s.counterVal;
-            break;
-          case MetricKind::Gauge:
-            out << formatScalar(s.gaugeVal);
-            break;
-          case MetricKind::Histogram:
-            out << s.hist->summary();
-            break;
-        }
-        out << '\n';
-    }
-    return out.str();
-}
-
-std::string
 renderMetricsCsvHeader(const std::vector<ExportSample> &samples)
 {
     std::string out = "sim_ns";
     for (const ExportSample &s : samples) {
-        const std::string base = s.family + s.labelStr;
-        if (s.kind == MetricKind::Histogram) {
-            out += ',';
-            out += csvCell(base + "_count");
-            out += ',';
-            out += csvCell(base + "_p50");
-            out += ',';
-            out += csvCell(base + "_p99");
-        } else {
-            out += ',';
-            out += csvCell(base);
-        }
+        out += ',';
+        out += csvCell(s.family + s.labelStr);
     }
     out += '\n';
     return out;
@@ -463,68 +174,29 @@ renderMetricsCsvRow(SimNs now, const std::vector<ExportSample> &samples)
     std::string out = detail::format("%llu", (unsigned long long)now);
     for (const ExportSample &s : samples) {
         out += ',';
-        switch (s.kind) {
-          case MetricKind::Counter:
-            out += detail::format("%llu",
-                                  (unsigned long long)s.counterVal);
-            break;
-          case MetricKind::Gauge:
-            out += formatScalar(s.gaugeVal);
-            break;
-          case MetricKind::Histogram:
-            out += detail::format(
-                "%llu,%llu,%llu", (unsigned long long)s.hist.count,
-                (unsigned long long)s.hist.p50,
-                (unsigned long long)s.hist.p99);
-            break;
-        }
+        out += detail::format("%llu", (unsigned long long)s.counterVal);
     }
     out += '\n';
     return out;
 }
 
-std::size_t
-metricsCsvColumnCount(const std::vector<ExportSample> &samples)
-{
-    std::size_t columns = 1; // sim_ns
-    for (const ExportSample &s : samples)
-        columns += s.kind == MetricKind::Histogram ? 3 : 1;
-    return columns;
-}
-
-std::string
-Metrics::csvHeader() const
-{
-    return renderMetricsCsvHeader(exportSamples());
-}
-
-std::string
-Metrics::csvRow(SimNs now) const
-{
-    return renderMetricsCsvRow(now, exportSamples());
-}
-
-std::size_t
-Metrics::csvColumnCount() const
-{
-    return metricsCsvColumnCount(exportSamples());
-}
-
 MetricsCsvSampler::MetricsCsvSampler(const Metrics &metrics)
-    : reg(metrics), doc(metrics.csvHeader()),
-      columns(metrics.csvColumnCount())
+    : reg(metrics)
 {
+    const std::vector<ExportSample> samples = metrics.exportSamples();
+    doc = renderMetricsCsvHeader(samples);
+    samplesPerRow = samples.size();
 }
 
 void
 MetricsCsvSampler::sample(SimNs now)
 {
-    const std::size_t row_cols = reg.csvColumnCount();
-    panic_if(row_cols != columns,
-             "metrics registered after sampling started (%zu columns "
+    const std::vector<ExportSample> samples = reg.exportSamples();
+    panic_if(samples.size() != samplesPerRow,
+             "counters appeared after sampling started (%zu columns "
              "in header, %zu in row)",
-             columns, row_cols);
-    doc += reg.csvRow(now);
+             samplesPerRow + 1, samples.size() + 1);
+    doc += renderMetricsCsvRow(now, samples);
     ++rowCount;
 }
 

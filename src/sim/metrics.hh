@@ -1,32 +1,20 @@
 /**
  * @file
- * Labeled metrics registry: typed counters, gauges and histograms with
- * a dense-id hot path, plus byte-deterministic exporters.
+ * Labeled export of StatSet counters, with byte-deterministic
+ * renderers.
  *
- * Metrics is the aggregate layer above the per-subsystem StatSets that
- * PR 1 interned: every existing hot path keeps incrementing its dense
- * StatIds (zero added cost), and a Metrics registry *adopts* those
- * StatSets as labeled counter families at export time (subsuming
- * sim::Stats as its storage backend). First-class metrics — gauges,
- * histograms, and counters that belong to no StatSet — register
- * directly and are updated through dense MetricIds, never per-event
- * string lookups.
+ * StatSet is the one counter store: every subsystem increments its own
+ * dense StatIds (zero added cost). A Metrics registry *adopts* those
+ * StatSets and, at export time, presents every counter of each as a
+ * labeled counter family. It stores no values of its own.
  *
- * Label interning: a metric is identified by (name, sorted label
- * pairs). Registration is idempotent — the same identity always
- * resolves to the same MetricId — and the index key is structured
- * (control-character separators), so names and label values containing
- * '=', ',' or '_' can never collide into one identity.
- *
- * Exporters (all byte-deterministic for a given registry state):
- *  - prometheus(): Prometheus text exposition — counters as
- *    "<name>_total", gauges plain, histograms as summaries with
- *    p50/p95/p99/p999 quantile samples; families sorted by name, then
- *    samples by label string.
- *  - report(): human-readable sections (replaces Stats::dump at call
- *    sites that want the whole machine, not one StatSet).
- *  - csvHeader()/csvRow(): one wide time-series row per simulated-time
- *    sample (see MetricsCsvSampler and Engine::setSampler).
+ * Exporters (all byte-deterministic for a given set of counters):
+ *  - prometheus(): Prometheus text exposition, counters as
+ *    "<name>_total"; families sorted by name, then samples by label
+ *    string.
+ *  - renderMetricsCsvHeader()/renderMetricsCsvRow(): one wide
+ *    time-series row per simulated-time sample (see MetricsCsvSampler
+ *    and Engine::setSampler).
  *
  * Layering: like Tracer and FaultPlan, this file knows nothing about
  * vCPUs or the hypervisor; subsystems attach their StatSets with plain
@@ -37,62 +25,24 @@
 #define ELISA_SIM_METRICS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/types.hh"
-#include "sim/histogram.hh"
 #include "sim/stats.hh"
 
 namespace elisa::sim
 {
 
-/** Metric families a registry can hold. */
-enum class MetricKind : std::uint8_t
-{
-    Counter,   ///< monotonically increasing uint64
-    Gauge,     ///< last-written double (occupancy, depth, ratio)
-    Histogram, ///< sim::Histogram of uint64 samples (ns by convention)
-};
-
-/** Render a kind (report/debugging). */
-const char *metricKindToString(MetricKind kind);
-
-/**
- * Dense handle of one registered metric. Obtained once via
- * counter()/gauge()/histogram(); updating through it is an array
- * index, no string or label hashing. Only meaningful for the Metrics
- * registry that issued it.
- */
-using MetricId = std::uint32_t;
-
 /** One label dimension: (key, value). */
 using Label = std::pair<std::string, std::string>;
 
-/** A label set; sorted by key at registration. */
+/** A label set; sorted by key at attachment. */
 using Labels = std::vector<Label>;
 
 /**
- * Materialized histogram summary: the exact values the exporters
- * render. Flattening happens at collection time so a sample can be
- * serialized (telemetry snapshots) without dragging the Histogram
- * storage along — a re-render from these six integers is byte-equal
- * to a render from the live histogram.
- */
-struct HistSummary
-{
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t p50 = 0;
-    std::uint64_t p95 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t p999 = 0;
-};
-
-/**
- * One flattened, self-contained export sample. The registry's
+ * One flattened, self-contained counter sample. The registry's
  * exportSamples() returns these sorted by (family, labelStr); the
  * free renderers below turn a sample vector into the Prometheus/CSV
  * documents. Because the renderers take samples — not the registry —
@@ -103,11 +53,8 @@ struct ExportSample
 {
     std::string family;   ///< sanitized family name
     std::string labelStr; ///< rendered {k="v",...} or ""
-    Labels labels;        ///< raw sorted pairs (quantile re-render)
-    MetricKind kind = MetricKind::Counter;
+    Labels labels;        ///< raw sorted pairs (telemetry wire form)
     std::uint64_t counterVal = 0;
-    double gaugeVal = 0.0;
-    HistSummary hist;
 };
 
 /** Render {k="v",...} (sorted pairs in, "" for empty labels). */
@@ -128,70 +75,14 @@ renderMetricsCsvHeader(const std::vector<ExportSample> &samples);
 std::string renderMetricsCsvRow(SimNs now,
                                 const std::vector<ExportSample> &samples);
 
-/** Column count the CSV renderers emit for @p samples (incl sim_ns). */
-std::size_t
-metricsCsvColumnCount(const std::vector<ExportSample> &samples);
-
 /**
- * The registry. Owns first-class metric storage; adopted StatSets stay
- * owned by their subsystems (non-owning pointers, same lifetime
- * contract as Tracer/FaultPlan installation).
+ * The registry of adopted StatSets. The sets stay owned by their
+ * subsystems (non-owning pointers, same lifetime contract as
+ * Tracer/FaultPlan installation).
  */
 class Metrics
 {
   public:
-    /**
-     * Register (or re-resolve) a counter identified by
-     * (@p name, @p labels). The only string-keyed operation — call at
-     * construction time, never per event.
-     */
-    MetricId counter(const std::string &name, Labels labels = {});
-
-    /** Register (or re-resolve) a gauge. */
-    MetricId gauge(const std::string &name, Labels labels = {});
-
-    /**
-     * Register (or re-resolve) a histogram metric.
-     * @param sub_bucket_bits / @p max_value forwarded to
-     *        sim::Histogram on first registration.
-     */
-    MetricId histogram(const std::string &name, Labels labels = {},
-                       unsigned sub_bucket_bits = 6,
-                       std::uint64_t max_value = 1ull << 40);
-
-    // ---- hot path (no checks, no lookups) --------------------------
-    /** Increment counter @p id. */
-    void
-    add(MetricId id, std::uint64_t delta = 1)
-    {
-        counters[metas[id].slot] += delta;
-    }
-
-    /** Set gauge @p id. */
-    void
-    set(MetricId id, double value)
-    {
-        gauges[metas[id].slot] = value;
-    }
-
-    /** Record one sample into histogram @p id. */
-    void
-    observe(MetricId id, std::uint64_t sample)
-    {
-        hists[metas[id].slot].record(sample);
-    }
-
-    // ---- reads (tests / exporters) ---------------------------------
-    std::uint64_t counterValue(MetricId id) const;
-    double gaugeValue(MetricId id) const;
-    const Histogram &histogramAt(MetricId id) const;
-
-    /** Number of first-class registered metrics. */
-    std::size_t size() const { return metas.size(); }
-
-    /** Kind of a registered metric. */
-    MetricKind kind(MetricId id) const { return metas[id].kind; }
-
     /**
      * Adopt @p set as a family of labeled counters: at export time
      * every counter "x" of the set appears as counter
@@ -205,22 +96,10 @@ class Metrics
     /** Remove an adopted StatSet (no-op when not attached). */
     void detachStatSet(const StatSet &set);
 
-    /** Number of adopted StatSets. */
-    std::size_t statSetCount() const { return sources.size(); }
-
     /**
-     * Reset every first-class value (counters to 0, gauges to 0,
-     * histograms emptied). Registrations are kept; adopted StatSets
-     * are NOT cleared (their subsystems own them).
-     */
-    void clearValues();
-
-    // ---- exporters -------------------------------------------------
-    /**
-     * Flatten every first-class metric and adopted StatSet into
-     * self-contained ExportSamples, sorted by (family, labelStr).
-     * This is the one collection point all exporters — and the
-     * telemetry snapshot serializer — share.
+     * Flatten every adopted StatSet into self-contained ExportSamples,
+     * sorted by (family, labelStr). This is the one collection point
+     * all exporters — and the telemetry snapshot serializer — share.
      */
     std::vector<ExportSample> exportSamples() const;
 
@@ -231,36 +110,7 @@ class Metrics
      */
     std::string prometheus() const;
 
-    /** Human-readable report, one "name{labels} = value" per line. */
-    std::string report() const;
-
-    /**
-     * CSV time-series header: "sim_ns" plus one column per sample
-     * (histograms expand to _count/_p50/_p99). Column set is computed
-     * fresh; register everything before sampling begins.
-     */
-    std::string csvHeader() const;
-
-    /** One CSV row of current values at simulated time @p now. */
-    std::string csvRow(SimNs now) const;
-
-    /**
-     * Number of columns csvHeader()/csvRow() emit right now (sim_ns
-     * plus one per scalar sample, three per histogram). The sampler
-     * compares this across ticks; counting commas would miscount
-     * label cells, which are quoted and may contain commas.
-     */
-    std::size_t csvColumnCount() const;
-
   private:
-    struct Meta
-    {
-        std::string name;
-        Labels labels;
-        MetricKind kind;
-        std::uint32_t slot; ///< index into the kind's value array
-    };
-
     struct Source
     {
         const StatSet *set;
@@ -268,30 +118,6 @@ class Metrics
         std::string prefix;
     };
 
-    /** One flattened export sample (shared by every exporter). */
-    struct Sample
-    {
-        std::string family;   ///< sanitized family name
-        std::string labelStr; ///< rendered {k="v",...} or ""
-        Labels labels;        ///< raw pairs (quantile re-rendering)
-        MetricKind kind;
-        std::uint64_t counterVal = 0;
-        double gaugeVal = 0.0;
-        const Histogram *hist = nullptr;
-    };
-
-    /** Flatten first-class metrics + adopted StatSets, sorted. */
-    std::vector<Sample> collect() const;
-
-    MetricId registerMetric(const std::string &name, Labels labels,
-                            MetricKind kind, unsigned sub_bits,
-                            std::uint64_t max_value);
-
-    std::map<std::string, MetricId> index; ///< structured key -> id
-    std::vector<Meta> metas;
-    std::vector<std::uint64_t> counters;
-    std::vector<double> gauges;
-    std::vector<Histogram> hists;
     std::vector<Source> sources;
 };
 
@@ -304,8 +130,8 @@ class Metrics
  *   engine.setSampler(10_000, [&](SimNs t) { sampler.sample(t); });
  *
  * The column set is frozen at construction (the header row); a sample
- * observing a different column count panics, pointing at metrics
- * registered after sampling started.
+ * observing a different column count panics, pointing at a counter
+ * that appeared after sampling started.
  */
 class MetricsCsvSampler
 {
@@ -324,7 +150,7 @@ class MetricsCsvSampler
   private:
     const Metrics &reg;
     std::string doc;
-    std::size_t columns;
+    std::size_t samplesPerRow;
     std::size_t rowCount = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/telemetry.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "base/logging.hh"
@@ -11,6 +10,13 @@ namespace elisa::sim
 
 namespace
 {
+
+/**
+ * The kind byte every metric sample starts with. Every sample is a
+ * counter; the byte stays on the wire so snapshot sizes, and with them
+ * the simulated scrape times, do not move.
+ */
+constexpr std::uint8_t counterSampleKind = 0;
 
 // ---- little-endian append/read helpers -----------------------------
 
@@ -156,7 +162,7 @@ appendMetricsSection(std::vector<std::uint8_t> &out,
 
     putU32(out, static_cast<std::uint32_t>(samples.size()));
     for (const ExportSample &s : samples) {
-        putU8(out, static_cast<std::uint8_t>(s.kind));
+        putU8(out, counterSampleKind);
         putString(out, s.family);
         panic_if(s.labels.size() > 0xffff, "too many labels");
         putU16(out, static_cast<std::uint16_t>(s.labels.size()));
@@ -164,28 +170,7 @@ appendMetricsSection(std::vector<std::uint8_t> &out,
             putString(out, k);
             putString(out, v);
         }
-        switch (s.kind) {
-          case MetricKind::Counter:
-            putU64(out, s.counterVal);
-            break;
-          case MetricKind::Gauge: {
-            // Bit-exact gauge transport: doubles cross the wire as
-            // their IEEE-754 pattern, never through a decimal render.
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(s.gaugeVal));
-            std::memcpy(&bits, &s.gaugeVal, sizeof(bits));
-            putU64(out, bits);
-            break;
-          }
-          case MetricKind::Histogram:
-            putU64(out, s.hist.count);
-            putU64(out, s.hist.sum);
-            putU64(out, s.hist.p50);
-            putU64(out, s.hist.p95);
-            putU64(out, s.hist.p99);
-            putU64(out, s.hist.p999);
-            break;
-        }
+        putU64(out, s.counterVal);
     }
     patchU32(out, len_at,
              static_cast<std::uint32_t>(out.size() - body_at));
@@ -381,11 +366,13 @@ SnapshotView::parse(const std::uint8_t *data, std::size_t len)
                 ExportSample e;
                 std::uint8_t kind = 0;
                 std::uint16_t labels = 0;
-                if (!body.readU8(kind) || kind > 2 ||
-                    !body.readString(e.family) ||
-                    !body.readU16(labels))
+                if (!body.readU8(kind))
                     return fail("metric sample truncated");
-                e.kind = static_cast<MetricKind>(kind);
+                if (kind != counterSampleKind)
+                    return fail(detail::format(
+                        "unknown metric sample kind %u", kind));
+                if (!body.readString(e.family) || !body.readU16(labels))
+                    return fail("metric sample truncated");
                 for (std::uint16_t l = 0; l < labels; ++l) {
                     std::string k, v;
                     if (!body.readString(k) || !body.readString(v))
@@ -393,28 +380,8 @@ SnapshotView::parse(const std::uint8_t *data, std::size_t len)
                     e.labels.emplace_back(std::move(k), std::move(v));
                 }
                 e.labelStr = renderMetricLabels(e.labels);
-                switch (e.kind) {
-                  case MetricKind::Counter:
-                    if (!body.readU64(e.counterVal))
-                        return fail("counter value truncated");
-                    break;
-                  case MetricKind::Gauge: {
-                    std::uint64_t bits = 0;
-                    if (!body.readU64(bits))
-                        return fail("gauge value truncated");
-                    std::memcpy(&e.gaugeVal, &bits, sizeof(bits));
-                    break;
-                  }
-                  case MetricKind::Histogram:
-                    if (!body.readU64(e.hist.count) ||
-                        !body.readU64(e.hist.sum) ||
-                        !body.readU64(e.hist.p50) ||
-                        !body.readU64(e.hist.p95) ||
-                        !body.readU64(e.hist.p99) ||
-                        !body.readU64(e.hist.p999))
-                        return fail("histogram summary truncated");
-                    break;
-                }
+                if (!body.readU64(e.counterVal))
+                    return fail("counter value truncated");
                 metricSamples.push_back(std::move(e));
             }
             sawMetrics = true;

@@ -25,10 +25,11 @@
  *   then per section: { u32 tag; u32 bytes; payload }
  *
  * Sections (a consumer skips tags it does not know):
- *   Metrics — flattened sim::ExportSamples (histograms already
- *     materialized to HistSummary), so SnapshotView::prometheus() /
- *     csvRow() re-render through the exact renderers the host-side
- *     Metrics exporters use: byte-identical by construction.
+ *   Metrics — flattened sim::ExportSamples, each { u8 kind (always
+ *     0: a counter); family; labels; u64 value }, so
+ *     SnapshotView::prometheus() / csvRow() re-render through the
+ *     exact renderers the host-side Metrics exporters use:
+ *     byte-identical by construction. A parser rejects any other kind.
  *   Ledger  — (vm, vcpu, kind, code, events, ns) rows in slot order.
  *   Trace   — the most recent N tracer events with a compact local
  *     name table (first-appearance order).

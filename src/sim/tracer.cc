@@ -31,8 +31,6 @@ spanCatToString(SpanCat cat)
         return "cpu";
       case SpanCat::Page:
         return "page";
-      case SpanCat::Telemetry:
-        return "telemetry";
     }
     return "?";
 }

@@ -57,11 +57,10 @@ enum class SpanCat : std::uint8_t
     Fault,       ///< injected-fault annotations
     Cpu,         ///< raw instruction events (vmfunc, vmcall framing)
     Page,        ///< demand-paging events (page-in/out, reclaim)
-    Telemetry,   ///< telemetry-plane events
 };
 
 /** Number of categories (array sizing). */
-inline constexpr unsigned spanCatCount = 9;
+inline constexpr unsigned spanCatCount = 8;
 
 /** Render a category (exporters / debugging). */
 const char *spanCatToString(SpanCat cat);

@@ -521,7 +521,7 @@ runFaultScenario(std::uint64_t seed)
         << "client_clock=" << client_vm.vcpu(0).clock().now() << '\n';
     sim::Metrics metrics;
     hv.attachMetrics(metrics);
-    out << "report:\n" << metrics.report();
+    out << "prometheus:\n" << metrics.prometheus();
     return out.str();
 }
 
@@ -540,7 +540,7 @@ TEST(Determinism, FaultSeedReplaysBitIdentically)
 // ---------------------------------------------------------------------
 // Demand paging on one engine: three overcommitted machines thrash
 // their swap devices; the fingerprint — clocks, pager counters,
-// occupancy-gauge series — must replay bit for bit.
+// occupancy series — must replay bit for bit.
 // ---------------------------------------------------------------------
 
 /** One machine whose shared object is paged under a resident budget. */
@@ -631,29 +631,23 @@ runPagedScenario()
     std::vector<std::unique_ptr<PagedMachine>> machines;
     std::vector<std::unique_ptr<PagedClientActor>> actors;
     sim::Engine engine;
-    std::vector<std::unique_ptr<sim::Metrics>> metrics;
     for (unsigned m = 0; m < 3; ++m) {
         machines.push_back(std::make_unique<PagedMachine>(m));
         actors.push_back(std::make_unique<PagedClientActor>(
             *machines.back(), 400));
         engine.add(actors.back().get());
-        // Occupancy gauges, sampled periodically below.
-        metrics.push_back(std::make_unique<sim::Metrics>());
-        machines.back()->hv.allocator().attachGauges(*metrics.back());
     }
 
+    // The manager's occupancy, sampled periodically.
     std::ostringstream series;
     engine.setSampler(100'000, [&](SimNs t) {
         series << t << ':';
         for (unsigned m = 0; m < 3; ++m) {
-            sim::Metrics &mm = *metrics[m];
-            machines[m]->hv.allocator().sampleGauges();
-            series << mm.gaugeValue(mm.gauge("mem_resident_frames",
-                                             {{"vm", "manager"}}))
-                   << '/'
-                   << mm.gaugeValue(mm.gauge("mem_swapped_frames",
-                                             {{"vm", "manager"}}))
-                   << ' ';
+            PagedMachine &machine = *machines[m];
+            const auto *usage = machine.hv.allocator().ownerUsage(
+                machine.manager_vm.id());
+            series << usage->residentFrames << '/'
+                   << usage->swappedFrames << ' ';
         }
         series << '\n';
     });
@@ -723,11 +717,12 @@ struct TelemetryMachine
     core::ElisaGuest victim;
     core::ElisaGuest worker;
     elisa::guest::MonitorGuest monitor;
+    sim::StatSet backlog;
     sim::Metrics metrics;
     hv::TelemetryPublisher publisher{hv, metrics};
     std::optional<core::Gate> vgate;
     std::optional<core::Gate> wgate;
-    sim::MetricId depth = 0;
+    sim::StatId depth = 0;
     VmId victimId = invalidVmId;
 
     TelemetryMachine()
@@ -762,7 +757,8 @@ struct TelemetryMachine
                                  manager),
                  "monitor attach failed");
 
-        depth = metrics.gauge("backlog_depth");
+        depth = backlog.id("backlog_depth");
+        metrics.attachStatSet(backlog, {});
         hv.attachMetrics(metrics);
 
         // The worker's 40th Nop takes the victim down (third-party
@@ -827,9 +823,9 @@ struct TelemetryActor : sim::Actor
         }
         m.wgate->call(0);
         m.worker_vm.vcpu(0).vmcall(hv::hcArgs(hv::Hc::Nop));
-        // A sawtooth gauge, so each publication carries a new value.
-        m.metrics.set(m.depth,
-                      static_cast<double>(ops * 7 % 1000));
+        // A counter bumped every step, so each publication carries a
+        // new value.
+        m.backlog.inc(m.depth);
         if (ops % 16 == 15) {
             m.publisher.publish(actorNow());
             m.monitor.scrape();
@@ -871,9 +867,10 @@ TEST(Determinism, TelemetryPlaneIsBitIdenticalAcrossRuns)
     EXPECT_EQ(first, runTelemetryScenario());
 
     // Sanity: the scenario exercised the whole plane — publications
-    // carrying the backlog gauge were scraped, and the killed VM left
-    // a post-mortem.
-    EXPECT_NE(first.find("backlog_depth"), std::string::npos);
+    // carrying the backlog counter were scraped, and the killed VM
+    // left a post-mortem.
+    EXPECT_NE(first.find("# TYPE backlog_depth counter"),
+              std::string::npos);
     EXPECT_NE(first.find("fault_kill@hypercall"), std::string::npos);
     EXPECT_EQ(first.find("postmortem:\nnone"), std::string::npos);
     EXPECT_NE(first.find("telemetry_published"), std::string::npos);

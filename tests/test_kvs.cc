@@ -23,9 +23,11 @@ using namespace elisa::kvs;
 class KvsTableTest : public ::testing::Test
 {
   protected:
+    static constexpr std::uint64_t buckets = 1024;
+
     KvsTableTest() : memory(16 * MiB), io(memory, 0)
     {
-        ShmKvs::format(io, 1024);
+        ShmKvs::format(io, buckets);
     }
 
     mem::HostMemory memory;
@@ -36,40 +38,40 @@ TEST_F(KvsTableTest, FormatAndEmptyLookup)
 {
     EXPECT_TRUE(ShmKvs::formatted(io));
     EXPECT_EQ(ShmKvs::size(io), 0u);
-    EXPECT_EQ(ShmKvs::bucketCount(io), 1024u);
-    EXPECT_FALSE(ShmKvs::get(io, makeKey(1)));
+    EXPECT_EQ(ShmKvs::bucketCount(io), buckets);
+    EXPECT_FALSE(ShmKvs::get(io, buckets, makeKey(1)));
 }
 
 TEST_F(KvsTableTest, PutGetRemoveRoundTrip)
 {
-    EXPECT_TRUE(ShmKvs::put(io, makeKey(1), makeValue(1)));
+    EXPECT_TRUE(ShmKvs::put(io, buckets, makeKey(1), makeValue(1)));
     EXPECT_EQ(ShmKvs::size(io), 1u);
-    auto v = ShmKvs::get(io, makeKey(1));
+    auto v = ShmKvs::get(io, buckets, makeKey(1));
     ASSERT_TRUE(v);
     EXPECT_EQ(*v, makeValue(1));
-    EXPECT_TRUE(ShmKvs::remove(io, makeKey(1)));
+    EXPECT_TRUE(ShmKvs::remove(io, buckets, makeKey(1)));
     EXPECT_EQ(ShmKvs::size(io), 0u);
-    EXPECT_FALSE(ShmKvs::get(io, makeKey(1)));
-    EXPECT_FALSE(ShmKvs::remove(io, makeKey(1)));
+    EXPECT_FALSE(ShmKvs::get(io, buckets, makeKey(1)));
+    EXPECT_FALSE(ShmKvs::remove(io, buckets, makeKey(1)));
 }
 
 TEST_F(KvsTableTest, UpdateInPlace)
 {
-    EXPECT_TRUE(ShmKvs::put(io, makeKey(5), makeValue(5)));
-    EXPECT_TRUE(ShmKvs::put(io, makeKey(5), makeValue(99)));
+    EXPECT_TRUE(ShmKvs::put(io, buckets, makeKey(5), makeValue(5)));
+    EXPECT_TRUE(ShmKvs::put(io, buckets, makeKey(5), makeValue(99)));
     EXPECT_EQ(ShmKvs::size(io), 1u); // update, not insert
-    EXPECT_EQ(*ShmKvs::get(io, makeKey(5)), makeValue(99));
+    EXPECT_EQ(*ShmKvs::get(io, buckets, makeKey(5)), makeValue(99));
 }
 
 TEST_F(KvsTableTest, ManyKeysSurvive)
 {
     const std::uint64_t n = 2000; // ~24 % slot load factor
     for (std::uint64_t i = 0; i < n; ++i)
-        ASSERT_TRUE(ShmKvs::put(io, makeKey(i), makeValue(i)))
+        ASSERT_TRUE(ShmKvs::put(io, buckets, makeKey(i), makeValue(i)))
             << "overflow at " << i;
     EXPECT_EQ(ShmKvs::size(io), n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        auto v = ShmKvs::get(io, makeKey(i));
+        auto v = ShmKvs::get(io, buckets, makeKey(i));
         ASSERT_TRUE(v) << i;
         EXPECT_EQ(*v, makeValue(i));
     }
@@ -80,26 +82,26 @@ TEST_F(KvsTableTest, BucketOverflowReported)
     net::HostRegionIo tiny(memory, 8 * MiB);
     ShmKvs::format(tiny, 1); // single bucket, 8 slots
     for (std::uint32_t i = 0; i < entriesPerBucket; ++i)
-        EXPECT_TRUE(ShmKvs::put(tiny, makeKey(i), makeValue(i)));
-    EXPECT_FALSE(ShmKvs::put(tiny, makeKey(entriesPerBucket),
+        EXPECT_TRUE(ShmKvs::put(tiny, 1, makeKey(i), makeValue(i)));
+    EXPECT_FALSE(ShmKvs::put(tiny, 1, makeKey(entriesPerBucket),
                              makeValue(entriesPerBucket)));
     // Updates of resident keys still work when full.
-    EXPECT_TRUE(ShmKvs::put(tiny, makeKey(2), makeValue(42)));
+    EXPECT_TRUE(ShmKvs::put(tiny, 1, makeKey(2), makeValue(42)));
 }
 
 TEST_F(KvsTableTest, CompareAndSwapSemantics)
 {
-    ASSERT_TRUE(ShmKvs::put(io, makeKey(9), makeValue(1)));
+    ASSERT_TRUE(ShmKvs::put(io, buckets, makeKey(9), makeValue(1)));
     // Mismatched expectation: no change.
-    EXPECT_FALSE(ShmKvs::cas(io, makeKey(9), makeValue(2),
+    EXPECT_FALSE(ShmKvs::cas(io, buckets, makeKey(9), makeValue(2),
                              makeValue(3)));
-    EXPECT_EQ(*ShmKvs::get(io, makeKey(9)), makeValue(1));
+    EXPECT_EQ(*ShmKvs::get(io, buckets, makeKey(9)), makeValue(1));
     // Matched: swaps.
-    EXPECT_TRUE(ShmKvs::cas(io, makeKey(9), makeValue(1),
+    EXPECT_TRUE(ShmKvs::cas(io, buckets, makeKey(9), makeValue(1),
                             makeValue(3)));
-    EXPECT_EQ(*ShmKvs::get(io, makeKey(9)), makeValue(3));
+    EXPECT_EQ(*ShmKvs::get(io, buckets, makeKey(9)), makeValue(3));
     // Absent key never matches.
-    EXPECT_FALSE(ShmKvs::cas(io, makeKey(1234), makeValue(0),
+    EXPECT_FALSE(ShmKvs::cas(io, buckets, makeKey(1234), makeValue(0),
                              makeValue(1)));
 }
 
@@ -402,15 +404,33 @@ TEST_F(KvsClientTest, HostPrefetchIgnoresForgedHeader)
     VmcallKvsClient vc(vt, *vms[1]);
     core::ElisaGuest guest(*vms[2], svc);
     ElisaKvsClient ec(et, manager, guest);
+    net::HostRegionIo *ios[] = {&dt.hostIo(), &vt.hostIo(), &et.hostIo()};
+    constexpr std::uint64_t keys = 100;
+    for (net::HostRegionIo *io : ios)
+        prepopulate(*io, keys);
 
-    // The header's magic and bucket count, as a direct-mapped peer can
-    // rewrite them. The hint takes the geometry the host formatted the
-    // table with, so every prefetched line stays inside the region.
-    const std::uint64_t forged[2] = {~0ull, ~0ull};
-    for (net::HostRegionIo *io : {&dt.hostIo(), &vt.hostIo(), &et.hostIo()})
-        io->write(0, forged, sizeof(forged));
-
+    // The header's magic (offset 0) and bucket count (offset 8), as a
+    // direct-mapped peer can rewrite them. The operations and the hint
+    // take the geometry the host formatted the table with, so every
+    // slot and prefetched line stays inside the region. A forged
+    // bucket count moves no key.
+    const std::uint64_t forged_buckets = ~0ull;
+    for (net::HostRegionIo *io : ios)
+        io->write(8, &forged_buckets, sizeof(forged_buckets));
     KvsClient *clients[] = {&dc, &vc, &ec};
+    for (KvsClient *c : clients) {
+        SCOPED_TRACE(c->scheme());
+        for (std::uint64_t id = 0; id < keys; ++id) {
+            const auto value = c->get(makeKey(id));
+            ASSERT_TRUE(value) << id;
+            EXPECT_EQ(*value, makeValue(id));
+        }
+    }
+
+    // A forged magic fails each operation, not the simulator.
+    const std::uint64_t forged[2] = {~0ull, ~0ull};
+    for (net::HostRegionIo *io : ios)
+        io->write(0, forged, sizeof(forged));
     for (KvsClient *c : clients) {
         SCOPED_TRACE(c->scheme());
         const SimNs before = c->vcpu().clock().now();
@@ -420,6 +440,11 @@ TEST_F(KvsClientTest, HostPrefetchIgnoresForgedHeader)
         // A hint has no simulated effect.
         EXPECT_EQ(c->vcpu().clock().now(), before);
         EXPECT_EQ(c->vcpu().stats().all(), counters);
+
+        EXPECT_FALSE(c->get(makeKey(1)));
+        EXPECT_FALSE(c->put(makeKey(1), makeValue(2)));
+        EXPECT_FALSE(c->remove(makeKey(1)));
+        EXPECT_FALSE(c->cas(makeKey(1), makeValue(1), makeValue(2)));
     }
 }
 

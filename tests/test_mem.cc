@@ -23,8 +23,6 @@
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "sim/cost_model.hh"
-#include "sim/engine.hh"
-#include "sim/metrics.hh"
 #include "sim/rng.hh"
 
 namespace
@@ -710,7 +708,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackingStoreDifferential,
                          ::testing::Values(1u, 2u));
 
 // ---------------------------------------------------------------------
-// Per-owner occupancy book and its metrics gauges.
+// Per-owner occupancy book.
 // ---------------------------------------------------------------------
 
 TEST(FrameAllocator, OwnerOccupancyBook)
@@ -719,7 +717,7 @@ TEST(FrameAllocator, OwnerOccupancyBook)
     FrameAllocator alloc(memory);
     EXPECT_EQ(alloc.ownerUsage(1), nullptr);
 
-    alloc.noteOwner(1, "g1", 64);
+    alloc.noteOwner(1, 64);
     alloc.addResident(1, 3);
     alloc.addSwapped(1, 2);
     alloc.addResident(1, -1);
@@ -733,105 +731,12 @@ TEST(FrameAllocator, OwnerOccupancyBook)
     EXPECT_EQ(usage->balloonTargetFrames, 8u);
 
     // Re-registration updates the reservation, keeps the counters.
-    alloc.noteOwner(1, "g1", 128);
+    alloc.noteOwner(1, 128);
     EXPECT_EQ(alloc.ownerUsage(1)->reservedFrames, 128u);
     EXPECT_EQ(alloc.ownerUsage(1)->residentFrames, 2u);
 
     alloc.dropOwner(1);
     EXPECT_EQ(alloc.ownerUsage(1), nullptr);
-}
-
-TEST(FrameAllocator, OccupancyGaugesPublishOnSample)
-{
-    HostMemory memory(256 * pageSize);
-    FrameAllocator alloc(memory);
-    sim::Metrics metrics;
-    alloc.attachGauges(metrics);
-
-    alloc.noteOwner(1, "g1", 64);
-    alloc.addResident(1, 5);
-    alloc.addSwapped(1, 3);
-    alloc.setBalloonTarget(1, 16);
-    auto frame = alloc.alloc();
-    ASSERT_TRUE(frame);
-    alloc.sampleGauges();
-
-    EXPECT_EQ(metrics.gaugeValue(metrics.gauge("mem_frames_free")),
-              255.0);
-    EXPECT_EQ(metrics.gaugeValue(metrics.gauge("mem_frames_allocated")),
-              1.0);
-    const sim::Labels vm = {{"vm", "g1"}};
-    EXPECT_EQ(metrics.gaugeValue(
-                  metrics.gauge("mem_resident_frames", vm)), 5.0);
-    EXPECT_EQ(metrics.gaugeValue(
-                  metrics.gauge("mem_swapped_frames", vm)), 3.0);
-    EXPECT_EQ(metrics.gaugeValue(
-                  metrics.gauge("mem_balloon_target_frames", vm)), 16.0);
-
-    // Owners registered after attach are picked up on noteOwner.
-    alloc.noteOwner(2, "g2", 32);
-    alloc.addResident(2, 7);
-    alloc.sampleGauges();
-    EXPECT_EQ(metrics.gaugeValue(metrics.gauge("mem_resident_frames",
-                                               {{"vm", "g2"}})),
-              7.0);
-}
-
-namespace occupancy_sampler
-{
-
-/** Actor that mutates the occupancy book as simulated time passes. */
-struct BookActor : sim::Actor
-{
-    BookActor(FrameAllocator &alloc_, SimNs stride_)
-        : alloc(alloc_), stride(stride_)
-    {
-    }
-
-    SimNs actorNow() const override { return now; }
-
-    bool
-    step() override
-    {
-        alloc.addResident(1, 1);
-        now += stride;
-        return now < 1000;
-    }
-
-    FrameAllocator &alloc;
-    SimNs stride;
-    SimNs now = 0;
-};
-
-} // namespace occupancy_sampler
-
-TEST(FrameAllocator, EnginePeriodicSamplerSeesOccupancy)
-{
-    // The satellite wiring: attachGauges + Engine::setSampler gives a
-    // simulated-time series of the balloon/residency gauges.
-    HostMemory memory(256 * pageSize);
-    FrameAllocator alloc(memory);
-    sim::Metrics metrics;
-    alloc.attachGauges(metrics);
-    alloc.noteOwner(1, "g1", 64);
-
-    occupancy_sampler::BookActor actor(alloc, 100);
-    std::vector<double> series;
-    const sim::MetricId resident =
-        metrics.gauge("mem_resident_frames", {{"vm", "g1"}});
-    sim::Engine engine;
-    engine.add(&actor);
-    engine.setSampler(250, [&](SimNs) {
-        alloc.sampleGauges();
-        series.push_back(metrics.gaugeValue(resident));
-    });
-    engine.run(1000);
-
-    // The residency climbs monotonically across samples.
-    ASSERT_GE(series.size(), 3u);
-    for (std::size_t i = 1; i < series.size(); ++i)
-        EXPECT_GE(series[i], series[i - 1]);
-    EXPECT_GT(series.back(), series.front());
 }
 
 } // namespace

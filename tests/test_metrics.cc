@@ -1,8 +1,8 @@
 /**
  * @file
- * The observability layer: Metrics registry (interning, StatSet
- * adoption, exporters), ExitLedger accounting, and the Engine's
- * periodic simulated-time sampler.
+ * The observability layer: Metrics registry (StatSet adoption,
+ * exporters), ExitLedger accounting, and the Engine's periodic
+ * simulated-time sampler.
  */
 
 #include <gtest/gtest.h>
@@ -23,88 +23,8 @@ using namespace elisa;
 using namespace elisa::sim;
 
 // ===================================================================
-// Label interning.
+// StatSet adoption.
 // ===================================================================
-
-TEST(MetricsInterning, SameIdentitySameId)
-{
-    Metrics m;
-    const MetricId a = m.counter("rx_pkts", {{"vm", "1"}, {"q", "0"}});
-    // Labels are sorted at registration: order must not matter.
-    const MetricId b = m.counter("rx_pkts", {{"q", "0"}, {"vm", "1"}});
-    EXPECT_EQ(a, b);
-
-    m.add(a, 3);
-    m.add(b, 2);
-    EXPECT_EQ(m.counterValue(a), 5u);
-
-    // A different label value is a different metric.
-    const MetricId c = m.counter("rx_pkts", {{"vm", "2"}, {"q", "0"}});
-    EXPECT_NE(a, c);
-    EXPECT_EQ(m.counterValue(c), 0u);
-}
-
-TEST(MetricsInterning, StructuredKeysCannotCollide)
-{
-    // A naive "name + concatenated labels" key would serialize all of
-    // these to the same string; the structured key (control-character
-    // separators between name, keys, and values) keeps every identity
-    // distinct.
-    Metrics m;
-    const MetricId a = m.counter("ab", {{"c", "d"}});
-    const MetricId b = m.counter("a", {{"bc", "d"}});
-    const MetricId c = m.counter("a", {{"b", "cd"}});
-    const MetricId d = m.counter("a", {{"b", "c"}, {"d", ""}});
-    EXPECT_NE(a, b);
-    EXPECT_NE(a, c);
-    EXPECT_NE(a, d);
-    EXPECT_NE(b, c);
-    EXPECT_NE(b, d);
-    EXPECT_NE(c, d);
-    EXPECT_EQ(m.size(), 4u);
-}
-
-TEST(MetricsInterning, ReRegistrationIsIdempotent)
-{
-    Metrics m;
-    const MetricId id = m.gauge("depth", {{"vm", "3"}});
-    m.set(id, 7.5);
-    // Re-registering the same identity (e.g. a second subsystem
-    // instance) resolves to the same id; the value survives.
-    const MetricId again = m.gauge("depth", {{"vm", "3"}});
-    EXPECT_EQ(id, again);
-    EXPECT_DOUBLE_EQ(m.gaugeValue(again), 7.5);
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_EQ(m.kind(id), MetricKind::Gauge);
-}
-
-// ===================================================================
-// Values, clearing, StatSet adoption.
-// ===================================================================
-
-TEST(Metrics, HistogramAndClearValues)
-{
-    Metrics m;
-    const MetricId c = m.counter("ops");
-    const MetricId g = m.gauge("load");
-    const MetricId h = m.histogram("lat_ns");
-    m.add(c, 4);
-    m.set(g, 1.25);
-    m.observe(h, 5);
-    m.observe(h, 5);
-    m.observe(h, 7);
-    EXPECT_EQ(m.counterValue(c), 4u);
-    EXPECT_DOUBLE_EQ(m.gaugeValue(g), 1.25);
-    EXPECT_EQ(m.histogramAt(h).count(), 3u);
-    EXPECT_EQ(m.histogramAt(h).sum(), 17u);
-    EXPECT_EQ(m.histogramAt(h).p50(), 5u);
-
-    m.clearValues();
-    EXPECT_EQ(m.counterValue(c), 0u);
-    EXPECT_DOUBLE_EQ(m.gaugeValue(g), 0.0);
-    EXPECT_EQ(m.histogramAt(h).count(), 0u);
-    EXPECT_EQ(m.size(), 3u); // registrations survive
-}
 
 TEST(Metrics, StatSetAdoption)
 {
@@ -114,73 +34,66 @@ TEST(Metrics, StatSetAdoption)
 
     Metrics m;
     m.attachStatSet(stats, {{"vm", "7"}}, "vcpu_");
-    EXPECT_EQ(m.statSetCount(), 1u);
-
-    std::string report = m.report();
-    EXPECT_NE(report.find("vcpu_calls{vm=\"7\"} = 3"),
-              std::string::npos);
-    EXPECT_NE(report.find("vcpu_faults{vm=\"7\"} = 1"),
-              std::string::npos);
+    EXPECT_EQ(m.prometheus(), "# TYPE vcpu_calls counter\n"
+                              "vcpu_calls_total{vm=\"7\"} 3\n"
+                              "# TYPE vcpu_faults counter\n"
+                              "vcpu_faults_total{vm=\"7\"} 1\n");
 
     // The set keeps living in its subsystem: later increments are
     // visible at the next export without re-attaching.
     stats.inc("calls");
-    EXPECT_NE(m.report().find("vcpu_calls{vm=\"7\"} = 4"),
+    EXPECT_NE(m.prometheus().find("vcpu_calls_total{vm=\"7\"} 4\n"),
               std::string::npos);
 
     // Re-attach replaces labels/prefix instead of duplicating.
     m.attachStatSet(stats, {{"vm", "8"}}, "vcpu_");
-    EXPECT_EQ(m.statSetCount(), 1u);
-    EXPECT_NE(m.report().find("vcpu_calls{vm=\"8\"} = 4"),
-              std::string::npos);
+    EXPECT_EQ(m.prometheus(), "# TYPE vcpu_calls counter\n"
+                              "vcpu_calls_total{vm=\"8\"} 4\n"
+                              "# TYPE vcpu_faults counter\n"
+                              "vcpu_faults_total{vm=\"8\"} 1\n");
 
     m.detachStatSet(stats);
-    EXPECT_EQ(m.statSetCount(), 0u);
-    EXPECT_EQ(m.report(), "");
+    EXPECT_EQ(m.prometheus(), "");
 }
 
 // ===================================================================
 // Exporter goldens (byte-exact).
 // ===================================================================
 
-Metrics
-goldenRegistry()
+/** Two adopted sets: one labeled, one bare. */
+struct GoldenRegistry
 {
+    GoldenRegistry()
+    {
+        gate.inc("calls", 3);
+        machine.inc("depth", 2);
+        m.attachStatSet(gate, {{"path", "gate"}});
+        m.attachStatSet(machine, {});
+    }
+
+    StatSet gate;
+    StatSet machine;
     Metrics m;
-    const MetricId calls = m.counter("calls", {{"path", "gate"}});
-    const MetricId depth = m.gauge("depth");
-    const MetricId lat = m.histogram("lat_ns");
-    m.add(calls, 3);
-    m.set(depth, 2.5);
-    m.observe(lat, 5);
-    m.observe(lat, 5);
-    m.observe(lat, 7);
-    return m;
-}
+};
 
 TEST(MetricsExport, PrometheusGolden)
 {
     const std::string want = "# TYPE calls counter\n"
                              "calls_total{path=\"gate\"} 3\n"
-                             "# TYPE depth gauge\n"
-                             "depth 2.5\n"
-                             "# TYPE lat_ns summary\n"
-                             "lat_ns{quantile=\"0.5\"} 5\n"
-                             "lat_ns{quantile=\"0.95\"} 7\n"
-                             "lat_ns{quantile=\"0.99\"} 7\n"
-                             "lat_ns{quantile=\"0.999\"} 7\n"
-                             "lat_ns_sum 17\n"
-                             "lat_ns_count 3\n";
-    Metrics m = goldenRegistry();
-    EXPECT_EQ(m.prometheus(), want);
+                             "# TYPE depth counter\n"
+                             "depth_total 2\n";
+    const GoldenRegistry golden;
+    EXPECT_EQ(golden.m.prometheus(), want);
     // Byte-deterministic: repeated export is identical.
-    EXPECT_EQ(m.prometheus(), m.prometheus());
+    EXPECT_EQ(golden.m.prometheus(), golden.m.prometheus());
 }
 
 TEST(MetricsExport, PrometheusSanitizesNamesAndEscapesValues)
 {
+    StatSet stats;
+    stats.inc("rx-pkts");
     Metrics m;
-    m.add(m.counter("9net.rx-pkts", {{"path", "a\"b\\c\nd"}}), 1);
+    m.attachStatSet(stats, {{"path", "a\"b\\c\nd"}}, "9net.");
     const std::string text = m.prometheus();
     EXPECT_NE(text.find("_9net_rx_pkts_total"), std::string::npos);
     EXPECT_NE(text.find("{path=\"a\\\"b\\\\c\\nd\"} 1"),
@@ -189,22 +102,22 @@ TEST(MetricsExport, PrometheusSanitizesNamesAndEscapesValues)
 
 TEST(MetricsExport, CsvHeaderRowAndSampler)
 {
-    Metrics m = goldenRegistry();
-    EXPECT_EQ(m.csvHeader(), "sim_ns,\"calls{path=\"\"gate\"\"}\","
-                             "depth,lat_ns_count,lat_ns_p50,"
-                             "lat_ns_p99\n");
-    EXPECT_EQ(m.csvRow(100), "100,3,2.5,3,5,7\n");
-    EXPECT_EQ(m.csvColumnCount(), 6u);
+    GoldenRegistry golden;
+    const Metrics &m = golden.m;
+    const std::string header = "sim_ns,\"calls{path=\"\"gate\"\"}\","
+                               "depth\n";
+    EXPECT_EQ(renderMetricsCsvHeader(m.exportSamples()), header);
+    EXPECT_EQ(renderMetricsCsvRow(100, m.exportSamples()), "100,3,2\n");
 
     // The sampler counts columns structurally: quoted header cells
     // with embedded commas (labeled metrics) must not trip the
-    // registered-after-sampling panic.
+    // counter-appeared-after-sampling panic.
     MetricsCsvSampler sampler(m);
     sampler.sample(100);
+    golden.gate.inc("calls");
     sampler.sample(200);
     EXPECT_EQ(sampler.rows(), 2u);
-    EXPECT_EQ(sampler.csv(), m.csvHeader() + m.csvRow(100) +
-                                 m.csvRow(200));
+    EXPECT_EQ(sampler.csv(), header + "100,3,2\n200,4,2\n");
 }
 
 // ===================================================================
@@ -327,29 +240,31 @@ TEST(EngineSampler, FiresEveryBoundaryInOrder)
 
 TEST(EngineSampler, SamplesMetricsConsistently)
 {
+    StatSet stats;
+    const StatId ops = stats.id("ops");
     Metrics metrics;
-    const MetricId ops = metrics.counter("ops");
+    metrics.attachStatSet(stats, {});
 
     class Worker : public Actor
     {
       public:
-        Worker(Metrics &m, MetricId id) : m(m), id(id) {}
+        Worker(StatSet &s, StatId id) : s(s), id(id) {}
         SimNs actorNow() const override { return now; }
         bool
         step() override
         {
-            m.add(id);
+            s.inc(id);
             now += 250;
             return now < 4000;
         }
 
       private:
-        Metrics &m;
-        MetricId id;
+        StatSet &s;
+        StatId id;
         SimNs now = 0;
     };
 
-    Worker w(metrics, ops);
+    Worker w(stats, ops);
     Engine engine;
     engine.add(&w);
     MetricsCsvSampler sampler(metrics);
@@ -360,7 +275,7 @@ TEST(EngineSampler, SamplesMetricsConsistently)
     // Header + monotone rows; the counter in the last row can't
     // exceed the final value.
     EXPECT_NE(sampler.csv().find("sim_ns,ops\n"), std::string::npos);
-    EXPECT_EQ(metrics.counterValue(ops), 16u);
+    EXPECT_EQ(stats.get(ops), 16u);
 }
 
 } // anonymous namespace

@@ -53,7 +53,7 @@ TEST_P(KvsModelProperty, MatchesReferenceMap)
           case 0: { // put
             const std::uint64_t version = rng.next();
             const bool ok =
-                kvs::ShmKvs::put(io, key, kvs::makeValue(version));
+                kvs::ShmKvs::put(io, buckets, key, kvs::makeValue(version));
             if (ok)
                 model[id] = version;
             else
@@ -61,7 +61,7 @@ TEST_P(KvsModelProperty, MatchesReferenceMap)
             break;
           }
           case 1: { // get
-            auto got = kvs::ShmKvs::get(io, key);
+            auto got = kvs::ShmKvs::get(io, buckets, key);
             auto want = model.find(id);
             ASSERT_EQ(got.has_value(), want != model.end());
             if (got) {
@@ -70,7 +70,7 @@ TEST_P(KvsModelProperty, MatchesReferenceMap)
             break;
           }
           case 2: { // remove
-            const bool ok = kvs::ShmKvs::remove(io, key);
+            const bool ok = kvs::ShmKvs::remove(io, buckets, key);
             ASSERT_EQ(ok, model.erase(id) == 1);
             break;
           }
