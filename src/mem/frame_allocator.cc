@@ -93,6 +93,11 @@ FrameAllocator::free(Hpa base, std::uint64_t count)
              (unsigned long long)hole);
     fillBits(used, first, first + count, false);
     allocatedFrames -= count;
+    // Hand freed frames out again first: the host still backs them and
+    // likely still caches them. An allocation with no free before it
+    // goes on from where the last one ended, as rotating first fit.
+    if (first < searchHint)
+        searchHint = first;
 }
 
 bool

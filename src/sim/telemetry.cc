@@ -18,6 +18,15 @@ namespace
  */
 constexpr std::uint8_t counterSampleKind = 0;
 
+/**
+ * The smallest encoding of each counted entry: a sample with an empty
+ * family and no labels (kind, family length, label count, value), a
+ * ledger row, a trace-tail event.
+ */
+constexpr std::size_t minSampleBytes = 1 + 2 + 2 + 8;
+constexpr std::size_t ledgerRowBytes = 4 * 4 + 8 * 2;
+constexpr std::size_t traceEventBytes = 8 * 4 + 4 + 2 + 1 + 1;
+
 // ---- little-endian append/read helpers -----------------------------
 
 void
@@ -141,6 +150,17 @@ class Cursor
     std::size_t at() const { return pos; }
     std::size_t remaining() const { return size - pos; }
     bool done() const { return pos == size; }
+
+    /**
+     * True if @p count entries of at least @p min_bytes each can fit
+     * in the bytes left, so a peer-written count never sizes an
+     * allocation beyond what the section could hold.
+     */
+    bool
+    holds(std::uint32_t count, std::size_t min_bytes) const
+    {
+        return count <= remaining() / min_bytes;
+    }
 
   private:
     const std::uint8_t *base;
@@ -361,6 +381,8 @@ SnapshotView::parse(const std::uint8_t *data, std::size_t len)
             std::uint32_t count = 0;
             if (!body.readU32(count))
                 return fail("metrics section truncated");
+            if (!body.holds(count, minSampleBytes))
+                return fail("metric sample count exceeds its section");
             metricSamples.reserve(count);
             for (std::uint32_t i = 0; i < count; ++i) {
                 ExportSample e;
@@ -391,6 +413,8 @@ SnapshotView::parse(const std::uint8_t *data, std::size_t len)
             std::uint32_t count = 0;
             if (!body.readU32(count))
                 return fail("ledger section truncated");
+            if (!body.holds(count, ledgerRowBytes))
+                return fail("ledger row count exceeds its section");
             rows.reserve(count);
             for (std::uint32_t i = 0; i < count; ++i) {
                 LedgerRow row;
@@ -423,6 +447,8 @@ SnapshotView::parse(const std::uint8_t *data, std::size_t len)
             std::uint32_t count = 0;
             if (!body.readU32(count))
                 return fail("trace section truncated");
+            if (!body.holds(count, traceEventBytes))
+                return fail("trace event count exceeds its section");
             tail.reserve(count);
             for (std::uint32_t i = 0; i < count; ++i) {
                 TraceTailEvent ev;

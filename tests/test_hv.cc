@@ -10,11 +10,16 @@
 #include <unistd.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
+#include "elisa/gate.hh"
+#include "elisa/guest_api.hh"
+#include "elisa/manager.hh"
+#include "frame_checks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/ivshmem.hh"
 
@@ -69,6 +74,45 @@ TEST(HostResidency, UntouchedRamStaysNonResident)
         touched += page & 1;
     EXPECT_LT(touched, pages / 10)
         << touched << " of " << pages << " host pages resident";
+}
+
+TEST_F(HvTest, ChurnedVmLandsOnItsPredecessorsFrames)
+{
+    // VM churn on the 1.5 GiB bench machine: each 2 MiB guest attaches
+    // to a manager's export, makes one gate call, detaches and is
+    // destroyed. Freed frames are handed out again first, so every
+    // guest's default context lands on its predecessor's root, and no
+    // lifecycle leaves a byte that the next hand-out would not scrub.
+    hv::Hypervisor machine(1536 * MiB);
+    core::ElisaService svc(machine);
+    hv::Vm &managerVm = machine.createVm("manager", 128 * MiB);
+    core::ElisaManager manager(managerVm, svc);
+    core::SharedFnTable fns;
+    fns.push_back([](core::SubCallCtx &ctx) {
+        return ctx.view.read<std::uint64_t>(ctx.obj + ctx.arg0);
+    });
+    const core::ExportKey key("churn");
+    auto exported = manager.exportObject(key, 64 * KiB, std::move(fns));
+    ASSERT_TRUE(exported);
+    cpu::GuestView(manager.vcpu())
+        .write<std::uint64_t>(exported->objectGpa + 8, 0xc4c4);
+
+    std::set<std::uint64_t> eptps;
+    for (int i = 0; i < 2000; ++i) {
+        hv::Vm &vm = machine.createVm("churn", 2 * MiB);
+        eptps.insert(vm.defaultEpt().eptp());
+        {
+            core::ElisaGuest guest(vm, svc);
+            core::AttachResult attached = guest.tryAttach(key, manager);
+            ASSERT_TRUE(attached.ok()) << "lifecycle " << i;
+            core::Gate gate = attached.take();
+            ASSERT_EQ(gate.call(0, 8), 0xc4c4u) << "lifecycle " << i;
+            ASSERT_TRUE(gate.detach()) << "lifecycle " << i;
+        }
+        machine.destroyVm(vm.id());
+    }
+    EXPECT_EQ(eptps.size(), 1u);
+    EXPECT_TRUE(test::unwrittenLinesWithBytes(machine.memory()).empty());
 }
 
 TEST_F(HvTest, VmIdsAreUnique)
@@ -173,23 +217,11 @@ TEST(HvIsolation, RecycledEptpNeverServesRetiredTranslations)
     machine.removeEptp(cpu, *idx);
     ctx.reset();
 
-    // Steer the rotating allocator back onto the freed root: hold
-    // every other free frame, so the next context's root is the only
-    // frame left.
-    std::vector<Hpa> held;
-    bool root_seen = false;
-    while (auto f = frames.alloc()) {
-        if (*f == root)
-            root_seen = true;
-        else
-            held.push_back(*f);
-    }
-    ASSERT_TRUE(root_seen);
-    frames.free(root);
-
-    // A second context on the same root: the same EPTP value, with G
-    // left unmapped.
+    // Freed frames are handed out again first, so the next context
+    // lands on the freed root: the same EPTP value, with G left
+    // unmapped.
     ept::Ept reused(machine.memory(), frames);
+    ASSERT_EQ(ept::Ept::rootOfEptp(reused.eptp()), root);
     ASSERT_EQ(reused.eptp(), eptp);
     auto idx2 = machine.installEptp(cpu, reused.eptp());
     ASSERT_TRUE(idx2);
@@ -203,8 +235,6 @@ TEST(HvIsolation, RecycledEptpNeverServesRetiredTranslations)
     }
     cpu.vmfunc(0, 0);
     machine.removeEptp(cpu, *idx2);
-    for (Hpa f : held)
-        frames.free(f);
 }
 
 TEST_F(HvTest, IvshmemSharedBetweenVms)

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/units.hh"
@@ -97,15 +98,16 @@ TEST_F(IsolationTest, SuccessorVmOnADeadVmsFramesReadsZero)
 // ---- Whole-machine line audit over VM churn ------------------------
 
 /**
- * VM lifecycles on a small machine until rotating first fit has wrapped
- * twice, with the line audit after every step: no create, attach, gate
- * call, write, detach or destroy may leave a non-zero byte in a line
- * that zeroWritten would skip. Writes end one byte into a line or page
- * through every mutable path: HostMemory, GuestView, the gate's
- * exchange buffer and shared functions, an ivshmem region, a telemetry
- * sink and, every other round, the pager's poisoning, page-outs and
- * page-ins. RAM of 257 pages and a region of 65 map a last EPT entry
- * that opens a line of its leaf table.
+ * 28 VM lifecycles on a small machine, with the line audit after every
+ * step: no create, attach, gate call, write, detach or destroy may leave
+ * a non-zero byte in a line that zeroWritten would skip. Freed frames
+ * are handed out again first, so each round's VM lands on frames the
+ * round before freed, after their last owner wrote them. Writes end one
+ * byte into a line or page through every mutable path: HostMemory,
+ * GuestView, the gate's exchange buffer and shared functions, an
+ * ivshmem region, a telemetry sink and, every other round, the pager's
+ * poisoning, page-outs and page-ins. RAM of 257 pages and a region of
+ * 65 map a last EPT entry that opens a line of its leaf table.
  */
 TEST(LineAuditChurn, NoStepLeavesBytesInUnwrittenLines)
 {
@@ -133,7 +135,22 @@ TEST(LineAuditChurn, NoStepLeavesBytesInUnwrittenLines)
     constexpr Gpa shmGpa = 0x40000000;
     sim::Metrics metrics;
     int round = 0;
+    // Frames allocated now and not before the round began; each audit
+    // adds them to the round's footprint.
+    const mem::FrameAllocator &frames = hv.allocator();
+    std::vector<bool> before(frames.total());
+    std::vector<bool> footprint(frames.total());
+    const auto taken = [&] {
+        std::vector<std::uint64_t> out;
+        for (std::uint64_t f = 0; f < frames.total(); ++f) {
+            if (!before[f] && frames.isAllocated(f * pageSize))
+                out.push_back(f);
+        }
+        return out;
+    };
     const auto audit = [&](const char *step) {
+        for (std::uint64_t f : taken())
+            footprint[f] = true;
         const std::vector<std::uint64_t> bad =
             test::unwrittenLinesWithBytes(hv.memory());
         if (bad.empty())
@@ -144,10 +161,19 @@ TEST(LineAuditChurn, NoStepLeavesBytesInUnwrittenLines)
                << " of frame " << bad[0] / 64;
     };
 
-    Hpa lastProbe = 0;
-    for (unsigned wraps = 0; wraps < 2; ++round) {
-        ASSERT_LT(round, 200);
+    for (; round < 28; ++round) {
+        for (std::uint64_t f = 0; f < frames.total(); ++f)
+            before[f] = frames.isAllocated(f * pageSize);
+        const std::vector<bool> freed = std::exchange(
+            footprint, std::vector<bool>(frames.total()));
         hv::Vm &vm = hv.createVm("tenant", MiB + pageSize);
+        const std::vector<std::uint64_t> vmFrames = taken();
+        ASSERT_FALSE(vmFrames.empty());
+        for (std::uint64_t f : vmFrames) {
+            ASSERT_TRUE(round == 0 || freed[f])
+                << "round " << round << ": frame " << f
+                << " was not freed by the round before";
+        }
         if (round % 2 == 1)
             pager.manageVmRam(vm, true);
         ASSERT_TRUE(audit("create"));
@@ -202,15 +228,8 @@ TEST(LineAuditChurn, NoStepLeavesBytesInUnwrittenLines)
         ASSERT_TRUE(audit("ivshmem free"));
         hv.destroyVm(vm.id());
         ASSERT_TRUE(audit("destroy"));
-
-        // A probe frame lands where rotating first fit stands.
-        const std::optional<Hpa> probe = hv.allocator().alloc();
-        ASSERT_TRUE(probe);
-        hv.allocator().free(*probe);
-        wraps += *probe < lastProbe;
-        lastProbe = *probe;
+        ASSERT_TRUE(taken().empty()) << "round " << round;
     }
-    EXPECT_GT(round, 4);
     EXPECT_GT(hv.stats().get("pager_pages_swapped_out"), 0u);
     EXPECT_GT(hv.stats().get("pager_pages_swapped_in"), 0u);
 }

@@ -269,6 +269,55 @@ TEST(Snapshot, RejectsCorruptedBytes)
     EXPECT_TRUE(v.ok());
 }
 
+/**
+ * Forge the little-endian count at @p at of @p bytes to 0xffffffff and
+ * reseal the checksum: the parse must fail on the count itself, before
+ * anything is sized by it.
+ */
+::testing::AssertionResult
+rejectsForgedCount(std::vector<std::uint8_t> bytes, std::size_t at)
+{
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[at + i] = 0xff;
+    resealSnapshot(bytes);
+    SnapshotView v;
+    if (v.parse(bytes.data(), bytes.size()))
+        return ::testing::AssertionFailure() << "the forged count parsed";
+    if (v.error().find("count exceeds its section") == std::string::npos)
+        return ::testing::AssertionFailure() << "rejected as: " << v.error();
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Snapshot, RejectsForgedSampleCount)
+{
+    sim::StatSet stats;
+    stats.inc("x");
+    Metrics m;
+    m.attachStatSet(stats, {});
+    const auto bytes = sim::serializeTelemetrySnapshot({&m}, 1, 10);
+    // The count follows the section tag and length.
+    EXPECT_TRUE(rejectsForgedCount(bytes, sim::snapshotHeaderBytes + 8));
+}
+
+TEST(Snapshot, RejectsForgedLedgerRowCount)
+{
+    sim::ExitLedger led;
+    led.charge(led.slot(0, 0, CostKind::Exit, 3), 42);
+    const auto bytes =
+        sim::serializeTelemetrySnapshot({nullptr, &led}, 1, 10);
+    EXPECT_TRUE(rejectsForgedCount(bytes, sim::snapshotHeaderBytes + 8));
+}
+
+TEST(Snapshot, RejectsForgedTraceEventCount)
+{
+    Tracer tr(16);
+    tr.instant(SpanCat::Cpu, tr.intern("x"), 0, 5);
+    const auto bytes =
+        sim::serializeTelemetrySnapshot({nullptr, nullptr, &tr}, 1, 10);
+    // The count precedes the one 40-byte event that ends the snapshot.
+    EXPECT_TRUE(rejectsForgedCount(bytes, bytes.size() - 40 - 4));
+}
+
 TEST(Snapshot, UnknownSectionsAreSkipped)
 {
     sim::StatSet stats;
