@@ -80,7 +80,7 @@ nfChain()
                     cost, pktLen, true));
                 if (nfs) {
                     net::NfChain::process(
-                        cpu, io, 0, static_cast<std::uint32_t>(i),
+                        cpu, io, 0, nfs, static_cast<std::uint32_t>(i),
                         pktLen);
                 }
             }
@@ -107,7 +107,7 @@ nfChain()
                                                         true));
                     if (nfs) {
                         net::NfChain::process(
-                            vcpu, host_io, 0,
+                            vcpu, host_io, 0, nfs,
                             static_cast<std::uint32_t>(args.arg0),
                             pktLen);
                     }
@@ -133,7 +133,7 @@ nfChain()
                 if (nfs) {
                     net::GuestRegionIo io(vcpu, ctx.obj);
                     net::NfChain::process(
-                        vcpu, io, 0,
+                        vcpu, io, 0, nfs,
                         static_cast<std::uint32_t>(ctx.arg0), pktLen);
                 }
                 return std::uint64_t{1};

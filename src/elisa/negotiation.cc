@@ -235,9 +235,11 @@ ElisaService::onVmDestroyed(VmId vm)
             ++it;
         }
     }
-    // 3. Manager registration, staged code, and pending requests.
+    // 3. Manager registration, staged code, the attachment counter
+    //    and pending requests.
     managers.erase(vm);
     stagedFns.erase(vm);
+    slotCounters.erase(vm);
     for (auto it = requests.begin(); it != requests.end();) {
         if (it->second.guestVm == vm)
             it = requests.erase(it);

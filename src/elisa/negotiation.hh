@@ -283,7 +283,8 @@ class ElisaService
      * Per-VM count of attachments ever made. Picks the exchange
      * window GPA, which lives in the VM-wide default context — so
      * the counter must be per-VM, not per-vCPU (two vCPUs of one VM
-     * share that address space).
+     * share that address space). A VM's entry goes with the VM: VM ids
+     * are never reused, so nothing reads it again.
      */
     std::map<VmId, unsigned> slotCounters;
 

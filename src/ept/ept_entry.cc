@@ -18,22 +18,14 @@ permsToString(Perms perms)
     return s;
 }
 
-EptEntry
-EptEntry::make(Hpa hpa, Perms perms)
+void
+EptEntry::badAddress(Hpa hpa, std::uint64_t align)
 {
-    panic_if(!isPageAligned(hpa), "EPT entry address %llx not aligned",
-             (unsigned long long)hpa);
-    return EptEntry(hpa | static_cast<std::uint64_t>(perms));
-}
-
-EptEntry
-EptEntry::makeLarge(Hpa hpa, Perms perms)
-{
-    panic_if((hpa & largePageMask) != 0,
-             "large EPT entry address %llx not 2 MiB aligned",
-             (unsigned long long)hpa);
-    return EptEntry(hpa | (1ull << 7) |
-                    static_cast<std::uint64_t>(perms));
+    if (align == largePageSize) {
+        panic("large EPT entry address %llx not 2 MiB aligned",
+              (unsigned long long)hpa);
+    }
+    panic("EPT entry address %llx not aligned", (unsigned long long)hpa);
 }
 
 EptEntry

@@ -102,6 +102,12 @@ struct Translation
     Perms perms = Perms::None;
 };
 
+/** Size of a 2 MiB large page. */
+inline constexpr std::uint64_t largePageSize = 2 * 1024 * 1024;
+
+/** Mask selecting the offset within a large page. */
+inline constexpr std::uint64_t largePageMask = largePageSize - 1;
+
 /**
  * One 64-bit EPT entry, as stored in a table page.
  */
@@ -113,11 +119,27 @@ class EptEntry
     /** Wrap a raw 64-bit entry value. */
     explicit EptEntry(std::uint64_t raw) : value(raw) {}
 
-    /** Build an entry pointing at @p hpa with @p perms. */
-    static EptEntry make(Hpa hpa, Perms perms);
+    /**
+     * Build an entry pointing at @p hpa with @p perms. Inline, so a
+     * loop filling a leaf table compiles to plain stores.
+     */
+    static EptEntry
+    make(Hpa hpa, Perms perms)
+    {
+        if (!isPageAligned(hpa)) [[unlikely]]
+            badAddress(hpa, pageSize);
+        return EptEntry(hpa | static_cast<std::uint64_t>(perms));
+    }
 
     /** Build a 2 MiB large-page leaf entry (bit 7 set). */
-    static EptEntry makeLarge(Hpa hpa, Perms perms);
+    static EptEntry
+    makeLarge(Hpa hpa, Perms perms)
+    {
+        if ((hpa & largePageMask) != 0) [[unlikely]]
+            badAddress(hpa, largePageSize);
+        return EptEntry(hpa | (1ull << 7) |
+                        static_cast<std::uint64_t>(perms));
+    }
 
     /**
      * Build a non-present Swapped leaf: the page content lives in
@@ -202,17 +224,14 @@ class EptEntry
     std::uint64_t swapSlot() const { return addr() >> pageShift; }
 
   private:
+    /** Panic: @p hpa is not aligned to @p align for an entry. */
+    [[noreturn]] static void badAddress(Hpa hpa, std::uint64_t align);
+
     static constexpr unsigned presStateShift = 57;
     static constexpr unsigned savedPermsShift = 59;
 
     std::uint64_t value = 0;
 };
-
-/** Size of a 2 MiB large page. */
-inline constexpr std::uint64_t largePageSize = 2 * 1024 * 1024;
-
-/** Mask selecting the offset within a large page. */
-inline constexpr std::uint64_t largePageMask = largePageSize - 1;
 
 /** Number of levels in the EPT hierarchy (PML4 .. PT). */
 inline constexpr unsigned eptLevels = 4;

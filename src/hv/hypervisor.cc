@@ -44,7 +44,7 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
     auto vm = std::make_unique<Vm>(*this, id, name, ram_bytes, vcpu_count);
     Vm &ref = *vm;
     for (unsigned i = 0; i < ref.vcpuCount(); ++i)
-        vcpuOwner[ref.vcpu(i).id()] = id;
+        vcpuOwner.emplace_back(ref.vcpu(i).id(), id);
     vms.emplace(id, std::move(vm));
     statSet.inc("vm_created");
     return ref;
@@ -77,13 +77,19 @@ Hypervisor::destroyVm(VmId id)
     }
     for (auto &hook : destroyHooks)
         hook(id);
+    Vm &dying = *it->second;
     if (metricsPtr != nullptr) {
         // The registry holds non-owning StatSet pointers: detach the
         // dying vCPUs' sets or the next collect() walks freed memory.
-        Vm &dying = *it->second;
         for (unsigned i = 0; i < dying.vcpuCount(); ++i)
             metricsPtr->detachStatSet(dying.vcpu(i).stats());
     }
+    // The post-mortem is frozen: the VM's tracks now resolve to no VM.
+    // Its vCPU ids are consecutive, so its entries are one run.
+    const auto first = std::lower_bound(
+        vcpuOwner.begin(), vcpuOwner.end(),
+        std::pair<VcpuId, VmId>(dying.vcpu(0).id(), 0));
+    vcpuOwner.erase(first, first + dying.vcpuCount());
     vms.erase(it);
     frames.dropOwner(id);
     statSet.inc("vm_destroyed");
@@ -154,9 +160,12 @@ Hypervisor::setFlightRecorder(sim::FlightRecorder *recorder)
     if (recorderPtr == nullptr)
         return;
     recorderPtr->setTrackResolver([this](std::uint32_t track) {
-        const auto it = vcpuOwner.find(track);
-        return it == vcpuOwner.end() ? sim::FlightRecorder::noVm
-                                     : it->second;
+        const auto it = std::lower_bound(
+            vcpuOwner.begin(), vcpuOwner.end(),
+            std::pair<VcpuId, VmId>(track, 0));
+        return it == vcpuOwner.end() || it->first != track
+                   ? sim::FlightRecorder::noVm
+                   : it->second;
     });
     if (ledgerPtr)
         recorderPtr->baseline(*ledgerPtr);

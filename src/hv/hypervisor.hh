@@ -294,11 +294,14 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     sim::Metrics *metricsPtr = nullptr;
 
     /**
-     * vCPU id → owning VM, kept after the VM dies: the flight
-     * recorder's resolver must still attribute a dead VM's final
-     * spans when its dump is built during teardown.
+     * (vCPU id, owning VM) of every live vCPU, in vCPU-id order (ids
+     * are handed out in increasing order, so a new VM appends). The
+     * flight recorder's resolver reads it. A VM's entries stay until
+     * destroyVm() has frozen its post-mortem, so the dump still
+     * attributes the VM's final spans; then they go, since the book
+     * would otherwise grow with every VM ever created.
      */
-    std::map<VcpuId, VmId> vcpuOwner;
+    std::vector<std::pair<VcpuId, VmId>> vcpuOwner;
 
     /** Resolve the dispatch-span name for hypercall @p nr (lazily
      *  interned into the installed tracer). */

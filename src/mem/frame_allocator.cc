@@ -1,5 +1,7 @@
 #include "mem/frame_allocator.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "mem/bitmap.hh"
 
@@ -18,6 +20,10 @@ FrameAllocator::handOut(std::uint64_t first, std::uint64_t count)
     fillBits(used, first, first + count, true);
     mem.zeroWritten(first * pageSize, count * pageSize);
     allocatedFrames += count;
+    // Every frame below lowestFree is taken, so a run that covers it
+    // starts at it; the index then moves to the next free frame.
+    if (first == lowestFree)
+        lowestFree = findBit(used, first + count, totalFrames, false);
 }
 
 std::optional<std::uint64_t>
@@ -42,10 +48,11 @@ FrameAllocator::alloc(std::uint64_t count)
         return std::nullopt;
 
     // Rotating first-fit: the first run at or after the hint, else the
-    // first from frame 0.
-    std::optional<std::uint64_t> base = findRun(searchHint, count);
+    // first from frame 0. No run starts below lowestFree.
+    std::optional<std::uint64_t> base =
+        findRun(std::max(searchHint, lowestFree), count);
     if (!base)
-        base = findRun(0, count);
+        base = findRun(lowestFree, count);
     if (!base)
         return std::nullopt;
 
@@ -65,7 +72,16 @@ FrameAllocator::allocAligned(std::uint64_t count,
     if (count > freeFrames())
         return std::nullopt;
 
-    std::uint64_t base = 0;
+    // First fit from frame 0 would pass every frame below lowestFree,
+    // since all of them are taken: start at the first aligned base at
+    // or after it, which returns the same base.
+    panic_if(lowestFree < totalFrames &&
+                 ((used[lowestFree / 64] >> (lowestFree % 64)) & 1),
+             "lowest free frame %llu is taken",
+             (unsigned long long)lowestFree);
+    std::uint64_t base =
+        lowestFree + (align_frames - lowestFree % align_frames) %
+                         align_frames;
     while (base < totalFrames && count <= totalFrames - base) {
         const std::uint64_t taken = findBit(used, base, base + count, true);
         if (taken == base + count) {
@@ -98,6 +114,8 @@ FrameAllocator::free(Hpa base, std::uint64_t count)
     // goes on from where the last one ended, as rotating first fit.
     if (first < searchHint)
         searchHint = first;
+    if (first < lowestFree)
+        lowestFree = first;
 }
 
 bool

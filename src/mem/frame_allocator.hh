@@ -13,6 +13,12 @@
  * frames are handed out again first. A series of allocations with no
  * free in between lands where the rotating hand alone would put it.
  * allocAligned() is first fit from frame 0 and leaves the hand alone.
+ * Both searches start no lower than the lowest free frame, an index
+ * the allocator keeps exact (advanced when a run is handed out there,
+ * rewound by a free below it). Every frame below it is taken, so no
+ * search skips a base that a scan from frame 0 would return: placement
+ * is the same, and a VM's 2 MiB-aligned RAM no longer rescans the
+ * taken frames of the VMs that came before it.
  * The rewind kept every recorded perfbench digest and figure CSV and
  * took vm_churn's host RSS from 1,079 to 15 MiB, since a churned VM
  * lands on frames the host still backs. Address-ordered first fit
@@ -149,6 +155,13 @@ class FrameAllocator
      * the lowest run freed since, if that lies below it.
      */
     std::uint64_t searchHint = 0;
+    /**
+     * The lowest free frame (totalFrames when none is): every frame
+     * below it is taken. handOut() advances it past a run that starts
+     * there and free() moves it down onto a freed run below it, so no
+     * search looks at the taken frames beneath it.
+     */
+    std::uint64_t lowestFree = 0;
     /** One bit per frame: allocated. */
     std::vector<std::uint64_t> used;
 };

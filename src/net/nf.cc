@@ -54,12 +54,13 @@ NfChain::valid(RegionIo &io, std::uint64_t off)
     return io.read32(off + 4) == magic && io.read32(off) > 0;
 }
 
-bool
+NfVerdict
 NfChain::process(cpu::Vcpu &vcpu, RegionIo &io, std::uint64_t off,
-                 std::uint32_t seq, std::uint32_t len)
+                 std::uint32_t nfs, std::uint32_t seq, std::uint32_t len)
 {
     const std::uint32_t count = io.read32(off);
-    panic_if(io.read32(off + 4) != magic, "corrupt NF chain state");
+    if (io.read32(off + 4) != magic || count > nfs)
+        return NfVerdict::Corrupt;
     const sim::CostModel &cost = vcpu.costModel();
 
     // The packet "header": flow id derived from the sequence number,
@@ -87,7 +88,10 @@ NfChain::process(cpu::Vcpu &vcpu, RegionIo &io, std::uint64_t off,
             flow ^= 0x5a5a5a5au;
             break;
           case NfKind::LoadBalancer:
-            // Round-robin backend pick, remembered per chain.
+            // Round-robin backend pick, remembered per chain. build()
+            // never stores zero backends.
+            if (state.param == 0)
+                return NfVerdict::Corrupt;
             state.aux[0] = (state.aux[0] + 1) % state.param;
             flow = (flow & ~0xfu) |
                    static_cast<std::uint32_t>(state.aux[0]);
@@ -96,15 +100,15 @@ NfChain::process(cpu::Vcpu &vcpu, RegionIo &io, std::uint64_t off,
             state.bytes += len;
             break;
           default:
-            panic("unknown NF kind %u", state.kind);
+            return NfVerdict::Corrupt;
         }
         if (!dropped)
             ++state.hits;
         io.write(nf_off, &state, sizeof(state));
         if (dropped)
-            return false;
+            return NfVerdict::Drop;
     }
-    return true;
+    return NfVerdict::Pass;
 }
 
 std::uint64_t

@@ -41,6 +41,14 @@ enum class NfKind : std::uint32_t
 /** Render an NF kind. */
 const char *nfKindToString(NfKind kind);
 
+/** What NfChain::process did with a packet. */
+enum class NfVerdict : std::uint8_t
+{
+    Pass,    ///< every NF let the packet through
+    Drop,    ///< the firewall dropped it
+    Corrupt, ///< the chain state is not one the host built: dropped
+};
+
 /**
  * Chain state in shared memory. Layout at @p off within the region:
  *
@@ -51,6 +59,13 @@ const char *nfKindToString(NfKind kind);
  *
  * For the firewall, `param` is the deny modulus (seq % param == 0 is
  * denied; 0 = allow all). For the LB, `param` is the backend count.
+ *
+ * Whoever maps the region can rewrite any of it, so process() treats
+ * the stored state as hostile: it walks at most the chain length the
+ * host built, and a bad magic, a stored length above that, an unknown
+ * NF kind or a load balancer with no backend is a Corrupt verdict,
+ * never a panic or a fault. A valid chain makes exactly the region
+ * reads and writes it always made, in the same order.
  */
 class NfChain
 {
@@ -71,11 +86,14 @@ class NfChain
     /**
      * Run one packet through the chain: every NF reads/updates its
      * state through @p io and charges nfWorkNs to @p vcpu.
-     * @return false when the firewall dropped the packet.
+     * @param nfs the chain length the host built (kinds.size() at
+     *        build()); a stored length above it is corrupt.
+     * @return Drop when the firewall dropped the packet, Corrupt
+     *         (also a drop) when the stored state is not a chain.
      */
-    static bool process(cpu::Vcpu &vcpu, RegionIo &io,
-                        std::uint64_t off, std::uint32_t seq,
-                        std::uint32_t len);
+    static NfVerdict process(cpu::Vcpu &vcpu, RegionIo &io,
+                             std::uint64_t off, std::uint32_t nfs,
+                             std::uint32_t seq, std::uint32_t len);
 
     /** Read one NF's hit counter (stats/verification). */
     static std::uint64_t hits(RegionIo &io, std::uint64_t off,

@@ -119,11 +119,12 @@ Metrics::exportSamples() const
     std::vector<ExportSample> out;
     for (const Source &src : sources) {
         const std::string label_str = renderMetricLabels(src.labels);
-        // StatSet::all() iterates its name-sorted map: deterministic.
-        for (const auto &[name, value] : src.set->all()) {
-            out.push_back(ExportSample{sanitizeFamily(src.prefix + name),
-                                       label_str, src.labels, value});
-        }
+        // StatSet::forEach walks names in order: deterministic.
+        src.set->forEach([&](std::string_view name, std::uint64_t value) {
+            out.push_back(ExportSample{
+                sanitizeFamily(src.prefix + std::string(name)), label_str,
+                src.labels, value});
+        });
     }
     std::sort(out.begin(), out.end(),
               [](const ExportSample &a, const ExportSample &b) {

@@ -1,40 +1,97 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
+#include <cstring>
+
 namespace elisa::sim
 {
 
-StatId
-StatSet::id(const std::string &name)
+namespace
 {
-    auto it = index.find(name);
-    if (it != index.end())
-        return it->second;
-    const StatId sid = static_cast<StatId>(values.size());
-    index.emplace(name, sid);
+
+/** Room the first registration makes: every vCPU set fits in it. */
+constexpr std::size_t initialCounters = 16;
+constexpr std::size_t initialNameChars = 256;
+
+} // anonymous namespace
+
+std::uint64_t
+StatSet::tagOf(std::string_view name)
+{
+    std::uint64_t head = 0;
+    if (!name.empty())
+        std::memcpy(&head, name.data(),
+                    std::min<std::size_t>(name.size(), 8));
+    return head ^ (std::uint64_t{name.size()} << 56);
+}
+
+StatId
+StatSet::find(std::string_view name) const
+{
+    const std::uint64_t tag = tagOf(name);
+    const auto n = static_cast<StatId>(names.size());
+    for (StatId sid = 0; sid < n; ++sid) {
+        if (names[sid].tag == tag && nameOf(sid) == name)
+            return sid;
+    }
+    return n;
+}
+
+StatId
+StatSet::id(std::string_view name)
+{
+    const StatId found = find(name);
+    if (found < names.size())
+        return found;
+    if (values.empty()) {
+        values.reserve(initialCounters);
+        names.reserve(initialCounters);
+        nameChars.reserve(initialNameChars);
+    }
+    names.push_back(Name{tagOf(name),
+                         static_cast<std::uint32_t>(nameChars.size()),
+                         static_cast<std::uint32_t>(name.size())});
+    nameChars.append(name);
     values.push_back(0);
-    return sid;
+    return found;
 }
 
 std::uint64_t
-StatSet::get(const std::string &name) const
+StatSet::get(std::string_view name) const
 {
-    auto it = index.find(name);
-    return it == index.end() ? 0 : values[it->second];
+    const StatId sid = find(name);
+    return sid < values.size() ? values[sid] : 0;
 }
 
 void
 StatSet::clear()
 {
-    for (auto &v : values)
-        v = 0;
+    std::fill(values.begin(), values.end(), 0);
+}
+
+const std::vector<StatId> &
+StatSet::nameOrder() const
+{
+    if (byName.size() != names.size()) {
+        for (auto sid = static_cast<StatId>(byName.size());
+             sid < names.size(); ++sid) {
+            byName.push_back(sid);
+        }
+        std::sort(byName.begin(), byName.end(),
+                  [this](StatId a, StatId b) {
+                      return nameOf(a) < nameOf(b);
+                  });
+    }
+    return byName;
 }
 
 std::map<std::string, std::uint64_t>
 StatSet::all() const
 {
     std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, sid] : index)
-        out.emplace(name, values[sid]);
+    forEach([&out](std::string_view name, std::uint64_t value) {
+        out.emplace_hint(out.end(), name, value);
+    });
     return out;
 }
 

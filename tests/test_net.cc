@@ -229,7 +229,8 @@ TEST_F(NfChainTest, CountersTrackProcessing)
                     NfKind::Counter});
     cpu::Vcpu &cpu = vm.vcpu(0);
     for (std::uint32_t seq = 0; seq < 100; ++seq)
-        EXPECT_TRUE(NfChain::process(cpu, io, 0, seq, 256));
+        EXPECT_EQ(NfChain::process(cpu, io, 0, 3, seq, 256),
+                  NfVerdict::Pass);
     for (std::size_t nf = 0; nf < 3; ++nf)
         EXPECT_EQ(NfChain::hits(io, 0, nf), 100u);
     EXPECT_EQ(NfChain::bytes(io, 0, 2), 100u * 256u);
@@ -242,8 +243,11 @@ TEST_F(NfChainTest, FirewallDropsAndShortCircuits)
                    /*deny_modulus=*/2);
     cpu::Vcpu &cpu = vm.vcpu(0);
     std::uint32_t passed = 0;
-    for (std::uint32_t seq = 0; seq < 1000; ++seq)
-        passed += NfChain::process(cpu, io, 0, seq, 64) ? 1 : 0;
+    for (std::uint32_t seq = 0; seq < 1000; ++seq) {
+        const NfVerdict verdict = NfChain::process(cpu, io, 0, 2, seq, 64);
+        EXPECT_NE(verdict, NfVerdict::Corrupt);
+        passed += verdict == NfVerdict::Pass ? 1 : 0;
+    }
     EXPECT_GT(passed, 300u);
     EXPECT_LT(passed, 700u);
     EXPECT_EQ(NfChain::drops(io, 0, 0), 1000u - passed);
@@ -258,7 +262,7 @@ TEST_F(NfChainTest, ProcessingChargesPerNf)
                     NfKind::Counter});
     cpu::Vcpu &cpu = vm.vcpu(0);
     const SimNs t0 = cpu.clock().now();
-    NfChain::process(cpu, io, 0, 1, 64);
+    NfChain::process(cpu, io, 0, 3, 1, 64);
     EXPECT_EQ(cpu.clock().now() - t0, 3 * hv.cost().nfWorkNs);
 }
 
@@ -274,14 +278,88 @@ TEST_F(NfChainTest, DeterministicAcrossSchemesState)
     NfChain::build(io2, 0, kinds, 5);
     cpu::Vcpu &cpu = vm.vcpu(0);
     for (std::uint32_t seq = 0; seq < 500; ++seq) {
-        NfChain::process(cpu, io, 0, seq, 128);
-        NfChain::process(cpu, io2, 0, seq, 128);
+        NfChain::process(cpu, io, 0, 3, seq, 128);
+        NfChain::process(cpu, io2, 0, 3, seq, 128);
     }
     for (std::size_t nf = 0; nf < kinds.size(); ++nf) {
         EXPECT_EQ(NfChain::hits(io, 0, nf), NfChain::hits(io2, 0, nf));
         EXPECT_EQ(NfChain::drops(io, 0, nf),
                   NfChain::drops(io2, 0, nf));
     }
+}
+
+/**
+ * Whoever maps a chain region can rewrite any of it. Each test forges
+ * one field with a plain store and runs a packet: the chain reports
+ * Corrupt (a drop of its own kind) and the simulator keeps running.
+ * Before process() took the host's chain length these panicked (magic,
+ * kind, length) or died of SIGFPE (a load balancer with no backend).
+ */
+class NfChainForgedTest : public NfChainTest
+{
+  protected:
+    NfChainForgedTest()
+    {
+        NfChain::build(io, 0, kinds, /*deny_modulus=*/0, /*backends=*/4);
+    }
+
+    /** Run packet 7 through the chain the host built. */
+    NfVerdict
+    runPacket()
+    {
+        return NfChain::process(vm.vcpu(0), io, 0,
+                                static_cast<std::uint32_t>(kinds.size()),
+                                7, 64);
+    }
+
+    /** Byte offset of NF @p nf's state block. */
+    static std::uint64_t nfOff(std::size_t nf) { return 8 + nf * 64; }
+
+    const std::vector<NfKind> kinds{NfKind::Firewall, NfKind::Nat,
+                                    NfKind::LoadBalancer,
+                                    NfKind::Counter};
+};
+
+TEST_F(NfChainForgedTest, ForgedMagicIsCorrupt)
+{
+    ASSERT_EQ(runPacket(), NfVerdict::Pass);
+    io.write32(4, 0xdeadu);
+    EXPECT_EQ(runPacket(), NfVerdict::Corrupt);
+    // No NF ran: the hit counters still hold the one good packet.
+    for (std::size_t nf = 0; nf < kinds.size(); ++nf)
+        EXPECT_EQ(NfChain::hits(io, 0, nf), 1u);
+}
+
+TEST_F(NfChainForgedTest, ForgedKindIsCorrupt)
+{
+    io.write32(nfOff(1), 0x77u); // the NAT's kind
+    EXPECT_EQ(runPacket(), NfVerdict::Corrupt);
+    // The firewall before it ran; nothing after it did.
+    EXPECT_EQ(NfChain::hits(io, 0, 0), 1u);
+    EXPECT_EQ(NfChain::hits(io, 0, 3), 0u);
+}
+
+TEST_F(NfChainForgedTest, LoadBalancerWithNoBackendIsCorrupt)
+{
+    io.write32(nfOff(2) + 4, 0); // the LB's backend count
+    EXPECT_EQ(runPacket(), NfVerdict::Corrupt);
+    EXPECT_EQ(NfChain::hits(io, 0, 3), 0u);
+}
+
+TEST_F(NfChainForgedTest, ForgedLengthIsCorrupt)
+{
+    // One NF past the chain: its block is all zeros, kind 0.
+    io.write32(0, static_cast<std::uint32_t>(kinds.size() + 1));
+    EXPECT_EQ(runPacket(), NfVerdict::Corrupt);
+    // Rejected before any NF ran.
+    for (std::size_t nf = 0; nf < kinds.size(); ++nf)
+        EXPECT_EQ(NfChain::hits(io, 0, nf), 0u);
+    // A length within the chain the host built is the guest's own
+    // business: the first NFs run and the packet passes.
+    io.write32(0, 2);
+    EXPECT_EQ(runPacket(), NfVerdict::Pass);
+    EXPECT_EQ(NfChain::hits(io, 0, 1), 1u);
+    EXPECT_EQ(NfChain::hits(io, 0, 2), 0u);
 }
 
 /**
