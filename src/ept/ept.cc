@@ -244,9 +244,10 @@ Ept::mapChunk(Gpa gpa, Hpa hpa, std::uint64_t len, Perms perms)
     panic_if(slot->level != 0, "EPT range collision after validation");
     const std::uint64_t pages = len / pageSize;
     std::uint8_t *slots = mem.raw(slot->slot, pages * 8);
+    // Entries of consecutive pages differ only in the address field.
+    const std::uint64_t first = EptEntry::make(hpa, perms).raw();
     for (std::uint64_t i = 0; i < pages; ++i) {
-        const std::uint64_t entry =
-            EptEntry::make(hpa + i * pageSize, perms).raw();
+        const std::uint64_t entry = first + i * pageSize;
         std::memcpy(slots + i * 8, &entry, 8);
     }
     mappedCount += pages;

@@ -1,17 +1,73 @@
 #include "ept/tlb.hh"
 
+#include <iterator>
+
 #include "base/bitops.hh"
 #include "base/logging.hh"
 
 namespace elisa::ept
 {
 
-Tlb::Tlb(std::size_t entry_count)
-    : entries(entry_count), indexMask(entry_count - 1), ctxGen{1},
-      freeIds{0}
+namespace
+{
+
+/** The last generation handed out on this thread. */
+thread_local std::uint64_t lastGen = 0;
+
+/** True once this thread's spare list is gone (thread exit). */
+thread_local bool sparesGone = false;
+
+/** Spare arrays kept per thread; more would only pin memory. */
+constexpr std::size_t maxSpares = 8;
+
+} // anonymous namespace
+
+struct Tlb::SpareList
+{
+    std::vector<Spare> spares;
+
+    ~SpareList() { sparesGone = true; }
+};
+
+Tlb::SpareList &
+Tlb::spareList()
+{
+    thread_local SpareList list;
+    return list;
+}
+
+Tlb::Tlb(std::size_t entry_count) : indexMask(entry_count - 1)
 {
     fatal_if(!isPowerOf2(entry_count),
              "TLB entry count must be a power of two");
+    std::size_t contexts = 1;
+    if (!sparesGone) {
+        std::vector<Spare> &spares = spareList().spares;
+        for (auto it = spares.rbegin(); it != spares.rend(); ++it) {
+            if (it->entries.size() == entry_count) {
+                entries = std::move(it->entries);
+                contexts = it->contexts;
+                spares.erase(std::next(it).base());
+                break;
+            }
+        }
+    }
+    if (entries.empty())
+        entries.resize(entry_count);
+    // One generation above every one the array holds, for every id its
+    // entries may name; ids are handed out from 0 up.
+    ctxGen.assign(contexts, ++lastGen);
+    for (std::size_t id = contexts; id-- > 0;)
+        freeIds.push_back(static_cast<std::uint32_t>(id));
+}
+
+Tlb::~Tlb()
+{
+    if (sparesGone)
+        return;
+    std::vector<Spare> &spares = spareList().spares;
+    if (spares.size() < maxSpares)
+        spares.push_back(Spare{std::move(entries), ctxGen.size()});
 }
 
 void
@@ -36,7 +92,7 @@ Tlb::contextOf(std::uint64_t eptp)
         freeIds.pop_back();
     } else {
         id = static_cast<std::uint32_t>(ctxGen.size());
-        ctxGen.push_back(1);
+        ctxGen.push_back(++lastGen);
     }
     live.push_back({eptp, id});
     return id;
@@ -45,7 +101,7 @@ Tlb::contextOf(std::uint64_t eptp)
 void
 Tlb::retire(std::uint32_t id)
 {
-    ++ctxGen[id];
+    ctxGen[id] = ++lastGen;
     freeIds.push_back(id);
 }
 

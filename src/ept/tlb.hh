@@ -20,6 +20,13 @@
  * small generation array. Generations only grow, so a retired id's
  * entries can never come back to life under a later owner of the id.
  *
+ * Every generation comes from one per-thread counter, so no two
+ * contexts of any Tlb on a thread ever share one. That lets a Tlb take
+ * its entry array from one that died instead of allocating and zeroing
+ * 40 KiB per vCPU: the stale entries carry generations below every
+ * generation the new Tlb hands out, and its generation array covers
+ * every context id they name, so none can match.
+ *
  * The cache exposes an *epoch* counter to the CPU's L0 micro-cache
  * (cpu::GuestView): any event after which a privately remembered
  * translation might no longer match what a Tlb lookup would return —
@@ -50,6 +57,12 @@ class Tlb
   public:
     /** @param entry_count number of entries; must be a power of two. */
     explicit Tlb(std::size_t entry_count = 1024);
+
+    /** Hands the entry array to the next Tlb of its size. */
+    ~Tlb();
+
+    Tlb(const Tlb &) = delete;
+    Tlb &operator=(const Tlb &) = delete;
 
     /**
      * Mirror hit/miss/flush counts into @p set as the interned
@@ -131,7 +144,10 @@ class Tlb
         std::uint64_t eptp = 0;
         Gpa gpaPage = 0;
         Hpa hpaPage = 0;
-        /** Generation of context @c ctx at fill time; 0 = never filled. */
+        /**
+         * Generation of context @c ctx at fill time; below every
+         * generation of this Tlb if this Tlb never filled the entry.
+         */
         std::uint64_t gen = 0;
         std::uint32_t ctx = 0;
         Perms perms = Perms::None;
@@ -145,6 +161,18 @@ class Tlb
         std::uint64_t eptp = 0;
         std::uint32_t id = 0;
     };
+
+    /** A dead Tlb's entry array, waiting for a Tlb of its size. */
+    struct Spare
+    {
+        std::vector<Entry> entries;
+        /** Context ids the dead Tlb had made: bounds every entry's ctx. */
+        std::size_t contexts = 0;
+    };
+    struct SpareList;
+
+    /** This thread's spare entry arrays. */
+    static SpareList &spareList();
 
     std::size_t
     indexOf(std::uint64_t eptp, Gpa gpa) const
@@ -173,7 +201,10 @@ class Tlb
 
     std::vector<Entry> entries;
     std::size_t indexMask;
-    /** Current generation per context id; starts at 1, only grows. */
+    /**
+     * Current generation per context id; only grows, and is above
+     * every generation the entry array held when this Tlb took it.
+     */
     std::vector<std::uint64_t> ctxGen;
     /** The live contexts, at most one per EPTP. */
     std::vector<Context> live;

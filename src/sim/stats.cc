@@ -28,9 +28,11 @@ StatSet::tagOf(std::string_view name)
 StatId
 StatSet::find(std::string_view name) const
 {
+    // From the newest name back: a name looked up by string after
+    // construction was mostly registered late, on its first inc().
     const std::uint64_t tag = tagOf(name);
     const auto n = static_cast<StatId>(names.size());
-    for (StatId sid = 0; sid < n; ++sid) {
+    for (StatId sid = n; sid-- > 0;) {
         if (names[sid].tag == tag && nameOf(sid) == name)
             return sid;
     }

@@ -9,12 +9,13 @@
  *
  * Storage is flat: values and names are arrays indexed by StatId, and
  * the characters of every name share one buffer. A name lookup scans
- * a tag per counter (the name's first eight bytes and its length) and
- * compares characters only on a matching tag. Registering a name
- * appends to those arrays and allocates no node of its own, so the
- * dozen names a vCPU registers cost a few array growths, not a tree
- * node and possibly a string each. The name order that all() and
- * forEach() walk is sorted when first asked for after a registration.
+ * a tag per counter (the name's first eight bytes and its length),
+ * newest first, and compares characters only on a matching tag.
+ * Registering a name appends to those arrays and allocates no node of
+ * its own, so the dozen names a vCPU registers cost a few array
+ * growths, not a tree node and possibly a string each. The name order
+ * that all() and forEach() walk is sorted when first asked for after a
+ * registration.
  */
 
 #ifndef ELISA_SIM_STATS_HH

@@ -10,12 +10,20 @@
 #                  2 with a usage line that lists every id, and writes
 #                  nothing
 #   csvs           T4, A1 and P1 reproduce the committed CSVs byte for
-#                  byte
+#                  byte, and P1 its committed report
 #   figure         entry ID writes at least one CSV, and each matches
-#                  the committed file byte for byte
+#                  the committed file byte for byte; so does every
+#                  report it writes
+#   report         entry ID writes at least one report, and each
+#                  matches its committed baseline
 #   write_failure  an entry that cannot write under bench_results/
 #                  exits non-zero, on the CSV path (T4) and the
 #                  BENCH_*.json path (T3)
+#
+# A report (bench_results/BENCH_*.json) matches its baseline in
+# bench_results/baselines/ when every metric whose key does not start
+# with wall_ has the same printed value. wall_ metrics come from the
+# host's clock; only bench_check gates them, outside ctest.
 set -u
 mode=$1
 bench=$2
@@ -34,6 +42,30 @@ compare_csvs() {
         [ -e "$f" ] || break
         cmp "$f" "$src/$f" || fail "$f differs from the committed file"
         count=$((count + 1))
+    done
+}
+
+# The "key value" lines of report $1's metrics, wall_ keys left out.
+report_metrics() {
+    sed -n 's/^    "\([^"]*\)": \([^,]*\),*$/\1 \2/p' "$1" | grep -v '^wall_'
+}
+
+# Compare every report written under bench_results/ with its committed
+# baseline; reports is how many were compared.
+compare_reports() {
+    reports=0
+    for f in bench_results/BENCH_*.json; do
+        [ -e "$f" ] || break
+        base="$src/bench_results/baselines/${f#bench_results/}"
+        [ -e "$base" ] || fail "$f has no committed baseline"
+        report_metrics "$base" > want.txt
+        report_metrics "$f" > got.txt
+        [ -s want.txt ] || fail "$base holds no non-wall_ metric"
+        if ! cmp -s want.txt got.txt; then
+            diff want.txt got.txt
+            fail "$f differs from its baseline"
+        fi
+        reports=$((reports + 1))
     done
 }
 
@@ -60,12 +92,21 @@ csvs)
     done
     compare_csvs
     [ "$count" -eq 6 ] || fail "wrote $count CSVs, want 6"
+    compare_reports
+    [ "$reports" -eq 1 ] || fail "wrote $reports reports, want 1"
     ;;
 figure)
     id=$4
     "$bench" "$id" > out.txt 2>&1 || fail "elisa_bench $id exited $?"
     compare_csvs
     [ "$count" -ge 1 ] || fail "elisa_bench $id wrote no CSV"
+    compare_reports
+    ;;
+report)
+    id=$4
+    "$bench" "$id" > out.txt 2>&1 || fail "elisa_bench $id exited $?"
+    compare_reports
+    [ "$reports" -ge 1 ] || fail "elisa_bench $id wrote no report"
     ;;
 write_failure)
     : > bench_results # a regular file where the directory should be

@@ -15,6 +15,7 @@
 #include "sim/cost_model.hh"
 #include "sim/engine.hh"
 #include "sim/histogram.hh"
+#include "sim/metrics.hh"
 #include "sim/resource.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -112,6 +113,82 @@ TEST(StatSet, IncrementAndClear)
     EXPECT_EQ(s.get("missing"), 0u);
     s.clear();
     EXPECT_EQ(s.get("a"), 0u);
+}
+
+/**
+ * The StatSet contract the flat storage keeps: dense ids in
+ * registration order, idempotent registration, lookups of unknown names
+ * that register nothing, and name order for iteration and export.
+ */
+TEST(StatSet, FlatStorageKeepsTheContract)
+{
+    // Scrambled against name order; four names are longer than the 15
+    // bytes a std::string holds inline, and two pairs share eight-byte
+    // prefixes.
+    const std::vector<std::string> names{
+        "vmfunc_fail",          "elisa_batched_fns",
+        "tlb_miss",             "pager_pages_swapped_out",
+        "a",                    "pager_pages_swapped_in",
+        "elisa_bad_fn",         "ept_ad_update",
+        "telemetry_publish_overflow", "cpuid",
+        "vmfunc",               "b"};
+    StatSet s;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(s.id(names[i]), static_cast<StatId>(i)) << names[i];
+        s.inc(static_cast<StatId>(i), 100 + i);
+    }
+    EXPECT_EQ(s.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(s.id(names[i]), static_cast<StatId>(i)) << names[i];
+        EXPECT_EQ(s.get(names[i]), 100 + i) << names[i];
+    }
+    EXPECT_EQ(s.size(), names.size());
+
+    // Unknown names, including prefixes and extensions of known ones,
+    // read 0 and register nothing.
+    for (const char *unknown :
+         {"", "vmfunc_", "vmfunc_fail_", "pager_pages_swapped",
+          "telemetry_publish_overflox", "c"}) {
+        EXPECT_EQ(s.get(unknown), 0u) << unknown;
+    }
+    EXPECT_EQ(s.size(), names.size());
+
+    std::vector<std::string> sorted = names;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::string> walked;
+    for (const auto &[name, value] : s.all()) {
+        walked.push_back(name);
+        EXPECT_EQ(value, s.get(name));
+    }
+    EXPECT_EQ(walked, sorted);
+
+    // A registration after a walk joins the name order.
+    s.id("ab");
+    std::vector<std::string> again;
+    s.forEach([&again](std::string_view name, std::uint64_t) {
+        again.emplace_back(name);
+    });
+    sorted.insert(std::find(sorted.begin(), sorted.end(), "b"), "ab");
+    EXPECT_EQ(again, sorted);
+}
+
+TEST(StatSet, RegistrationOrderDoesNotReachTheExport)
+{
+    const std::vector<std::string> names{
+        "vmfunc", "ept_violation", "l0_hit", "elisa_batched_fns",
+        "tlb_flush", "pager_pages_swapped_out", "cpuid"};
+    StatSet forward, backward;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        forward.inc(names[i], 7 * i + 1);
+    for (std::size_t i = names.size(); i-- > 0;)
+        backward.inc(names[i], 7 * i + 1);
+    EXPECT_NE(forward.id("cpuid"), backward.id("cpuid"));
+
+    Metrics a, b;
+    a.attachStatSet(forward, {{"vm", "1"}}, "vcpu_");
+    b.attachStatSet(backward, {{"vm", "1"}}, "vcpu_");
+    EXPECT_FALSE(a.prometheus().empty());
+    EXPECT_EQ(a.prometheus(), b.prometheus());
 }
 
 TEST(Histogram, ExactForSmallValues)
