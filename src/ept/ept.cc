@@ -219,8 +219,8 @@ Ept::rangeFree(Gpa gpa, std::uint64_t len) const
         if (dir.isLarge())
             return false;
         // OR the chunk's leaves together through one read-only view of
-        // the table (it marks nothing written): one bounds check, and a
-        // loop the compiler vectorizes.
+        // the table (it marks nothing written): one bounds check for
+        // the chunk instead of one read64 per leaf.
         const std::uint64_t leaves = bytes / pageSize;
         const std::uint8_t *slots = std::as_const(mem).raw(
             dir.addr() + eptIndex(g, 0) * 8, leaves * 8);

@@ -24,6 +24,14 @@ constexpr std::size_t maxSpares = 8;
 
 struct Tlb::SpareList
 {
+    /** A dead Tlb's entry array, waiting for a Tlb of its size. */
+    struct Spare
+    {
+        std::vector<Entry> entries;
+        /** Context ids the dead Tlb had made: bounds every entry's ctx. */
+        std::size_t contexts = 0;
+    };
+
     std::vector<Spare> spares;
 
     ~SpareList() { sparesGone = true; }
@@ -42,7 +50,7 @@ Tlb::Tlb(std::size_t entry_count) : indexMask(entry_count - 1)
              "TLB entry count must be a power of two");
     std::size_t contexts = 1;
     if (!sparesGone) {
-        std::vector<Spare> &spares = spareList().spares;
+        auto &spares = spareList().spares;
         for (auto it = spares.rbegin(); it != spares.rend(); ++it) {
             if (it->entries.size() == entry_count) {
                 entries = std::move(it->entries);
@@ -65,9 +73,9 @@ Tlb::~Tlb()
 {
     if (sparesGone)
         return;
-    std::vector<Spare> &spares = spareList().spares;
+    auto &spares = spareList().spares;
     if (spares.size() < maxSpares)
-        spares.push_back(Spare{std::move(entries), ctxGen.size()});
+        spares.push_back({std::move(entries), ctxGen.size()});
 }
 
 void

@@ -162,13 +162,7 @@ class Tlb
         std::uint32_t id = 0;
     };
 
-    /** A dead Tlb's entry array, waiting for a Tlb of its size. */
-    struct Spare
-    {
-        std::vector<Entry> entries;
-        /** Context ids the dead Tlb had made: bounds every entry's ctx. */
-        std::size_t contexts = 0;
-    };
+    /** Entry arrays of dead Tlbs (tlb.cc). */
     struct SpareList;
 
     /** This thread's spare entry arrays. */

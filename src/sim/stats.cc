@@ -42,6 +42,7 @@ StatSet::find(std::string_view name) const
 StatId
 StatSet::id(std::string_view name)
 {
+    // A miss returns size(), the id a new name gets.
     const StatId found = find(name);
     if (found < names.size())
         return found;

@@ -98,7 +98,7 @@ class StatSet
     /** Where one counter's name lives, and its search tag. */
     struct Name
     {
-        std::uint64_t tag;  ///< tagOf(name)
+        std::uint64_t tag;   ///< tagOf(name)
         std::uint32_t begin; ///< offset of the name in nameChars
         std::uint32_t len;   ///< name length in bytes
     };

@@ -9,9 +9,6 @@
 #include <malloc.h>
 #include <sys/mman.h>
 #include <unistd.h>
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/allocator_interface.h>
-#endif
 
 #include <memory>
 #include <set>
@@ -27,6 +24,12 @@
 #include "frame_checks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/ivshmem.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+// The sanitizer runtime's allocator count (sanitizer/allocator_interface.h,
+// which not every toolchain ships).
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 namespace
 {
