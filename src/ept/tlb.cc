@@ -11,9 +11,6 @@ namespace elisa::ept
 namespace
 {
 
-/** The last generation handed out on this thread. */
-thread_local std::uint64_t lastGen = 0;
-
 /** True once this thread's spare list is gone (thread exit). */
 thread_local bool sparesGone = false;
 
@@ -30,6 +27,8 @@ struct Tlb::SpareList
         std::vector<Entry> entries;
         /** Context ids the dead Tlb had made: bounds every entry's ctx. */
         std::size_t contexts = 0;
+        /** The dead Tlb's last generation: bounds every entry's gen. */
+        std::uint64_t lastGen = 0;
     };
 
     std::vector<Spare> spares;
@@ -55,6 +54,7 @@ Tlb::Tlb(std::size_t entry_count) : indexMask(entry_count - 1)
             if (it->entries.size() == entry_count) {
                 entries = std::move(it->entries);
                 contexts = it->contexts;
+                lastGen = it->lastGen;
                 spares.erase(std::next(it).base());
                 break;
             }
@@ -75,7 +75,7 @@ Tlb::~Tlb()
         return;
     auto &spares = spareList().spares;
     if (spares.size() < maxSpares)
-        spares.push_back({std::move(entries), ctxGen.size()});
+        spares.push_back({std::move(entries), ctxGen.size(), lastGen});
 }
 
 void

@@ -20,12 +20,11 @@
  * small generation array. Generations only grow, so a retired id's
  * entries can never come back to life under a later owner of the id.
  *
- * Every generation comes from one per-thread counter, so no two
- * contexts of any Tlb on a thread ever share one. That lets a Tlb take
- * its entry array from one that died instead of allocating and zeroing
- * 40 KiB per vCPU: the stale entries carry generations below every
- * generation the new Tlb hands out, and its generation array covers
- * every context id they name, so none can match.
+ * A Tlb takes its entry array from one that died, when one is spare,
+ * instead of allocating and zeroing 40 KiB per vCPU. The array comes
+ * with the last generation its owner handed out and the number of
+ * context ids it made. The new Tlb's generations start above that one,
+ * for every id the stale entries name, so none can match.
  *
  * The cache exposes an *epoch* counter to the CPU's L0 micro-cache
  * (cpu::GuestView): any event after which a privately remembered
@@ -200,6 +199,11 @@ class Tlb
      * every generation the entry array held when this Tlb took it.
      */
     std::vector<std::uint64_t> ctxGen;
+    /**
+     * The last generation handed out, by this Tlb or by the previous
+     * owner of its entry array; every new generation is above it.
+     */
+    std::uint64_t lastGen = 0;
     /** The live contexts, at most one per EPTP. */
     std::vector<Context> live;
     /** Retired ids, reused before a new id is made. */
